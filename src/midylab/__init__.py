@@ -53,8 +53,10 @@ from .midy import (
     midy_set,
 )
 from .order import (
+    ModulusProfile,
     OrderRecord,
     lift_valuation,
+    modulus_profile,
     order_mod,
     order_mod_naive,
     order_prime_power,
@@ -86,6 +88,7 @@ __all__ = [
     "MidySet",
     "MidyVerdict",
     "MidylabError",
+    "ModulusProfile",
     "OracleCertificate",
     "OrderRecord",
     "PeriodExpansion",
@@ -111,6 +114,7 @@ __all__ = [
     "midy_direct",
     "midy_prime_v1_check",
     "midy_set",
+    "modulus_profile",
     "order_mod",
     "order_mod_naive",
     "order_prime_power",

@@ -8,6 +8,7 @@ precondition error, 2 usage error, 3 bounded-search exhaustion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
 from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
-from .order import order_mod
+from .order import modulus_profile, order_mod
 
 CACHE_ENV_VAR = "MIDYLAB_CACHE"
 
@@ -39,15 +40,7 @@ def _format_digits(digits, base: int) -> str:
 
 
 def _certificate_json(cert):
-    if cert is None:
-        return None
-    if isinstance(cert, PrimeCertificate):
-        return {"p": cert.p, "nu_n": cert.nu_n, "nu_d": cert.nu_d}
-    if isinstance(cert, OracleCertificate):
-        return {"x": cert.x}
-    if isinstance(cert, GcdCertificate):
-        return {"g": cert.g}
-    raise TypeError(f"unknown certificate {cert!r}")
+    return None if cert is None else dataclasses.asdict(cert)
 
 
 def _certificate_text(cert) -> str:
@@ -291,19 +284,15 @@ def _cmd_primes(args, out) -> int:
 
 
 def _scan_row(b: int, n: int, factors: tuple[tuple[int, int], ...]):
-    nf = Factorization(factors)
-    L = order_mod(b, n, n_factors=nf)
+    profile = modulus_profile(b, n, n_factors=Factorization(factors))
     members = []
     excluded = []
-    for d in arith.factor(L).divisors():
-        if d <= 1:
-            continue
-        verdict = midy.midy_check_ppl2(b, n, d, n_factors=nf)
-        if verdict.holds:
+    for d, cert in midy._ppl2_verdicts(profile):
+        if cert is None:
             members.append(d)
         else:
-            excluded.append((d, verdict.certificate))
-    return n, L, members, excluded
+            excluded.append((d, cert))
+    return n, profile.order, members, excluded
 
 
 def _scan_chunk(task):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import arith
 from .errors import PreconditionError
-from .midy import midy_check_ppl2
-from .order import lift_valuation, order_mod
+from .midy import _ppl2_verdicts
+from .order import lift_valuation, modulus_profile, order_mod
 
 __all__ = [
     "JenkinsDecomposition",
@@ -84,8 +84,9 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
         seen.add(p)
     orders = []
     for p, _ in pairs:
-        op = order_mod(b, p)
-        if op % d != 0 or not midy_check_ppl2(b, p, d).holds:
+        profile = modulus_profile(b, p)
+        op = profile.order
+        if op % d != 0 or next(_ppl2_verdicts(profile, (d,)))[1] is not None:
             raise PreconditionError(
                 f"prime {p} does not have the property for d = {d} in base {b}"
             )

@@ -6,6 +6,13 @@ order-valuation existence test (the cross-check).  Both are validated
 against the digit-level oracle in expansion.py by the test suite; they
 never factor b**k - 1 itself.
 
+The production decider reads one ModulusProfile per N: the factorization
+and the orders of b at every prime and prime power of N are computed
+once, and each block count d is then decided with no modular power at
+all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
+midy_set, midy_check_ppl2 and the CLI scan share that route.  A supplied
+n_factors is checked against N (DomainError on a mismatch).
+
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
 strict: squaring b**k gains nu_2(b**k + 1) - 1 extra factors of two, so
 even moduli get the wider allowance computed in _allowance.  Without it
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from . import arith, expansion
 from .arith import Factorization
 from .errors import HypothesisNotApplicableError, PreconditionError
-from .order import order_mod, _order_mod_prime
+from .order import ModulusProfile, modulus_profile, order_mod, _order_mod_prime
 
 __all__ = [
     "GcdCertificate",
@@ -111,31 +118,47 @@ def _allowance(p: int, b: int, k: int, d: int) -> int:
     return arith.valuation(2, d) + extra
 
 
+def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
+    """Yield (d, certificate) for each block count d, read off the profile.
+
+    divisors defaults to every d > 1 dividing the order, ascending; each
+    must divide the order.  The certificate is None exactly when d has the
+    property, else it names the first prime of N that breaks it.
+    """
+    b, L = profile.base, profile.order
+    if divisors is None:
+        divisors = arith.factor(L).divisors()[1:]
+    for d in divisors:
+        k = L // d
+        certificate = None
+        for p, nu_n, _, ord_p in profile.per_prime:
+            if k % ord_p == 0 and nu_n > _allowance(p, b, k, d):
+                certificate = PrimeCertificate(
+                    p=p, nu_n=nu_n, nu_d=arith.valuation(p, d)
+                )
+                break
+        yield d, certificate
+
+
 def midy_check_ppl2(
     b: int, N: int, d: int, *, n_factors: Factorization | None = None
 ) -> MidyVerdict:
     """Valuation test over the primes of N dividing b**k - 1.
 
-    Holds iff every prime p of N with b**k == 1 (mod p) has its exponent
-    in N within the membership allowance: the exponent of p in d, plus at
-    p = 2 the extra 2-adic room of the square step (see _allowance).  A
-    false verdict carries the violating prime with both exponents.
-    n_factors may supply a precomputed factorization of N.
+    Holds iff every prime p of N with b**k == 1 (mod p), that is with
+    |b| mod p dividing k, has its exponent in N within the membership
+    allowance: the exponent of p in d, plus at p = 2 the extra 2-adic
+    room of the square step (see _allowance).  The orders come from one
+    ModulusProfile of N, so no modular power is taken per prime.  A false
+    verdict carries the violating prime with both exponents.  n_factors
+    may supply a factorization of N; DomainError if it is not one.
     """
-    L = order_mod(b, N, n_factors=n_factors)
-    k = _check_args(b, N, d, L)
-    if n_factors is None:
-        n_factors = arith.factor(N)
-    for p, nu_n in n_factors:
-        if pow(b, k, p) == 1 and nu_n > _allowance(p, b, k, d):
-            return MidyVerdict(
-                holds=False,
-                method="ppl2",
-                certificate=PrimeCertificate(
-                    p=p, nu_n=nu_n, nu_d=arith.valuation(p, d)
-                ),
-            )
-    return MidyVerdict(holds=True, method="ppl2")
+    profile = modulus_profile(b, N, n_factors=n_factors)
+    _check_args(b, N, d, profile.order)
+    [(_, certificate)] = _ppl2_verdicts(profile, (d,))
+    return MidyVerdict(
+        holds=certificate is None, method="ppl2", certificate=certificate
+    )
 
 
 def midy_check_ppl3(
@@ -148,7 +171,8 @@ def midy_check_ppl3(
     i.e. the order of b at p does not divide k.  The even prime has no
     such escape (|b| mod 2 is 1) and is held to the same 2-adic allowance
     as midy_check_ppl2, with which this decider agrees on every valid
-    input.
+    input.  n_factors may supply a factorization of N; DomainError if it
+    is not one.
     """
     L = order_mod(b, N, n_factors=n_factors)
     k = _check_args(b, N, d, L)
@@ -194,15 +218,9 @@ def midy_set(
     """Enumerate every block count d > 1 of the order with the property."""
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1")
-    L = order_mod(b, N, n_factors=n_factors)
-    if n_factors is None:
-        n_factors = arith.factor(N)
-    members = tuple(
-        d
-        for d in arith.factor(L).divisors()
-        if d > 1 and midy_check_ppl2(b, N, d, n_factors=n_factors).holds
-    )
-    return MidySet(base=b, modulus=N, order=L, members=members)
+    profile = modulus_profile(b, N, n_factors=n_factors)
+    members = tuple(d for d, cert in _ppl2_verdicts(profile) if cert is None)
+    return MidySet(base=b, modulus=N, order=profile.order, members=members)
 
 
 def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
@@ -215,24 +233,23 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
     even prime, where membership outlives a nontrivial gcd (base 3, N = 4,
     d = 2 returns (False, True, False)).
     """
-    L = order_mod(b, N)
+    profile = modulus_profile(b, N)
+    L = profile.order
     k = _check_args(b, N, d, L)
-    n_factors = arith.factor(N)
-    for p, nu_n in n_factors:
+    for p, nu_n, _, _ in profile.per_prime:
         if nu_n <= arith.valuation(p, d):
             raise HypothesisNotApplicableError(
                 f"prime {p} has exponent {nu_n} in {N}, "
                 f"not exceeding its exponent in {d}"
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
-    stmt_member = midy_check_ppl2(b, N, d, n_factors=n_factors).holds
+    [(_, certificate)] = _ppl2_verdicts(profile, (d,))
     d_primes = arith.factor(d).primes()
     stmt_exists = all(
         any(
-            arith.valuation(q, _order_mod_prime(b % p, p))
-            > arith.valuation(q, L) - arith.valuation(q, d)
+            arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
             for q in d_primes
         )
-        for p, _ in n_factors
+        for _, _, _, ord_p in profile.per_prime
     )
-    return stmt_gcd, stmt_member, stmt_exists
+    return stmt_gcd, certificate is None, stmt_exists

@@ -5,6 +5,11 @@ p: it stays equal to it while t <= m, where m is the p-adic valuation of
 b**ord - 1, and picks up a factor p**(t-m) beyond that.  Orders modulo
 powers of 2 do not follow that rule and are computed by a direct doubling
 scan instead.
+
+modulus_profile gathers everything the deciders read about one modulus
+(its factorization, the order, and the orders at each prime and prime
+power) in a single pass, so that deciding many block counts for the same
+N computes none of it twice.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from . import arith
 from .errors import DomainError, PreconditionError
 
 __all__ = [
+    "ModulusProfile",
     "OrderRecord",
     "lift_valuation",
+    "modulus_profile",
     "order_mod",
     "order_mod_naive",
     "order_prime_power",
@@ -39,6 +46,32 @@ class OrderRecord:
     modulus: int
     order: int
     per_prime: tuple[tuple[int, int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class ModulusProfile:
+    """Order data of base modulo modulus, computed once per modulus.
+
+    per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
+    factors, in ascending order of p; order is their lcm.
+    """
+
+    base: int
+    modulus: int
+    factors: arith.Factorization
+    order: int
+    per_prime: tuple[tuple[int, int, int, int], ...]
+
+
+def _factorization(
+    N: int, n_factors: arith.Factorization | None
+) -> arith.Factorization:
+    # A supplied factorization is trusted only after it multiplies back to N.
+    if n_factors is None:
+        return arith.factor(N)
+    if n_factors.value != N:
+        raise DomainError(f"n_factors multiply to {n_factors.value}, not {N}")
+    return n_factors
 
 
 @lru_cache(maxsize=1 << 16)
@@ -125,6 +158,31 @@ def order_record(b: int, N: int) -> OrderRecord:
     return OrderRecord(base=b, modulus=N, order=order, per_prime=tuple(per_prime))
 
 
+def modulus_profile(
+    b: int, N: int, *, n_factors: arith.Factorization | None = None
+) -> ModulusProfile:
+    """Factorization of N and the orders of b at N, its primes and prime powers.
+
+    One order_prime_power per prime power of N; the order mod p is the
+    cached value that call already computed.  n_factors may supply a
+    factorization of N; DomainError if it does not multiply back to N.
+    """
+    if N < 1:
+        raise DomainError("modulus must be >= 1")
+    if math.gcd(b, N) != 1:
+        raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
+    factors = _factorization(N, n_factors)
+    per_prime = []
+    order = 1
+    for p, t in factors:
+        opt = order_prime_power(b, p, t)
+        per_prime.append((p, t, opt, _order_mod_prime(b % p, p)))
+        order = order * opt // math.gcd(order, opt)
+    return ModulusProfile(
+        base=b, modulus=N, factors=factors, order=order, per_prime=tuple(per_prime)
+    )
+
+
 def order_mod(
     b: int,
     N: int,
@@ -134,9 +192,9 @@ def order_mod(
 ) -> int:
     """Least L >= 1 with b**L == 1 (mod N); requires gcd(b, N) == 1.
 
-    n_factors may supply a precomputed factorization of N.  debug_check
-    cross-validates the result against the successive-powers scan (slow;
-    for diagnostics only).
+    n_factors may supply a precomputed factorization of N; DomainError if
+    it does not multiply back to N.  debug_check cross-validates the
+    result against the successive-powers scan (slow; for diagnostics only).
     """
     if N < 1:
         raise DomainError("modulus must be >= 1")
@@ -145,7 +203,7 @@ def order_mod(
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
     order = 1
-    for p, t in n_factors if n_factors is not None else arith.factor(N):
+    for p, t in _factorization(N, n_factors):
         opt = order_prime_power(b, p, t)
         order = order * opt // math.gcd(order, opt)
     if debug_check:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import arith
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
-from .order import lift_valuation, order_mod, _order_mod_prime
+from .order import lift_valuation, modulus_profile, order_mod, _order_mod_prime
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -150,16 +150,16 @@ def midy_prime_v1_check(b: int, N: int, q: int) -> bool:
         raise PreconditionError(f"{q} is not prime")
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1")
-    L = order_mod(b, N)
+    profile = modulus_profile(b, N)
+    L = profile.order
     if L % q != 0:
         raise PreconditionError(f"{q} does not divide the order {L}")
     nu_L = arith.valuation(q, L)
-    n_factors = arith.factor(N)
-    if N % q == 0 and n_factors.valuation(q) > 1:
+    if profile.factors.valuation(q) > 1:
         return False
     return all(
-        p == q or arith.valuation(q, _order_mod_prime(b % p, p)) == nu_L
-        for p, _ in n_factors
+        p == q or arith.valuation(q, ord_p) == nu_L
+        for p, _, _, ord_p in profile.per_prime
     )
 
 

@@ -21,7 +21,12 @@ from midylab import arith
 from midylab.arith import Factorization
 from midylab.expansion import blocks_and_sum, midy_direct, period_digits
 from midylab.jenkins import JenkinsInstance, jenkins_check, jenkins_check_gcd
-from midylab.midy import midy_check_ppl2, midy_check_ppl3, midy_set
+from midylab.midy import (
+    midy_check_direct,
+    midy_check_ppl2,
+    midy_check_ppl3,
+    midy_set,
+)
 from midylab.order import lift_valuation, order_mod, order_prime_power
 from midylab.progression import (
     midy_prime_v1_check,
@@ -32,6 +37,8 @@ from midylab.progression import (
 
 SWEEP_BASES = (2, 3, 8, 10, 16)
 SWEEP_LIMIT = 2000
+ALL_BASES = range(2, 63)  # every base the CLI accepts
+ALL_BASES_LIMIT = 400
 
 
 @contextmanager
@@ -270,3 +277,28 @@ def test_criterion_9_cli_scan_determinism():
         )
         assert one.stdout == eight.stdout
         assert one.stdout.startswith(b"n,base,order,midy_set\n")
+
+
+def test_criterion_10_all_bases_decider_equivalence():
+    with criterion(
+        10, f"midy_set = ppl2 = ppl3 = direct, bases 2..62, N < {ALL_BASES_LIMIT}"
+    ):
+        checked = 0
+        disagreements = []
+        for b in ALL_BASES:
+            for n in range(2, ALL_BASES_LIMIT):
+                if math.gcd(b, n) != 1:
+                    continue
+                result = midy_set(b, n)
+                assert result.order == order_mod(b, n), (b, n)
+                members = set(result.members)
+                for d in divisors_above_one(result.order):
+                    in_set = d in members
+                    p2 = midy_check_ppl2(b, n, d).holds
+                    p3 = midy_check_ppl3(b, n, d).holds
+                    direct = midy_check_direct(b, n, d).holds
+                    if not (in_set == p2 == p3 == direct):
+                        disagreements.append((b, n, d, in_set, p2, p3, direct))
+                    checked += 1
+        assert disagreements == [], disagreements[:10]
+        assert checked == 67841

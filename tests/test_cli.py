@@ -1,5 +1,6 @@
 """CLI surface tests: exact outputs, exit codes, formats, cache handling."""
 
+import hashlib
 import io
 import json
 import sys
@@ -213,6 +214,39 @@ class TestScanCommand:
     def test_bad_range(self):
         code, _ = run_cli(["scan", "--base", "10", "--from", "9", "--to", "4"])
         assert code == 1
+
+
+class TestScanGolden:
+    """scan output pinned byte for byte by its sha256 and length."""
+
+    @pytest.mark.parametrize(
+        "args,digest,size",
+        [
+            (
+                ["--base", "10", "--from", "2", "--to", "5000"],
+                "bda8c5f42699e2a0c640c22f38b558bc1c94903deb71aa882cac58ee375d911c",
+                59946,
+            ),
+            (
+                # Even N: the 2-adic allowance and its certificates.
+                ["--base", "3", "--from", "2", "--to", "3000", "--format", "json"],
+                "2282c68be90aaa917883acb332bf71b3372de42cc459e2eb13eecd839fab60b4",
+                505884,
+            ),
+            (
+                ["--base", "7", "--from", "1000000000001", "--to", "1000000000200",
+                 "--format", "json"],
+                "8298844462a16fce6e17b8d672806dee17d26a2277c4001ba7f79ce62b44e932",
+                711862,
+            ),
+        ],
+    )
+    def test_digest(self, args, digest, size):
+        code, out = run_cli(["scan"] + args)
+        assert code == 0
+        data = out.encode("ascii")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestCache:

@@ -5,7 +5,11 @@ import math
 import pytest
 
 from midylab import arith
-from midylab.errors import HypothesisNotApplicableError, PreconditionError
+from midylab.errors import (
+    DomainError,
+    HypothesisNotApplicableError,
+    PreconditionError,
+)
 from midylab.expansion import midy_direct
 from midylab.midy import (
     OracleCertificate,
@@ -51,6 +55,24 @@ class TestPpl2:
             midy_check_ppl2(10, 13, 5)
         with pytest.raises(PreconditionError):
             midy_check_ppl2(10, 15, 2)
+
+
+class TestMismatchedFactorization:
+    def test_rejected(self):
+        # 21 = 3 * 7 has the set (3, 6); trusting factor(7) added d = 2.
+        wrong = arith.factor(7)
+        with pytest.raises(DomainError):
+            midy_set(10, 21, n_factors=wrong)
+        with pytest.raises(DomainError):
+            midy_check_ppl2(10, 21, 2, n_factors=wrong)
+        with pytest.raises(DomainError):
+            midy_check_ppl3(10, 21, 2, n_factors=wrong)
+
+    def test_correct_factors_accepted(self):
+        nf = arith.factor(21)
+        assert midy_set(10, 21, n_factors=nf).members == (3, 6)
+        assert midy_check_ppl2(10, 21, 2, n_factors=nf).holds is False
+        assert midy_check_ppl3(10, 21, 3, n_factors=nf).holds is True
 
 
 class TestPpl3:

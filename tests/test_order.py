@@ -7,9 +7,11 @@ import pytest
 from midylab import arith
 from midylab.errors import DomainError, PreconditionError
 from midylab.order import (
+    ModulusProfile,
     OrderRecord,
     _order_mod_prime,
     lift_valuation,
+    modulus_profile,
     order_mod,
     order_mod_naive,
     order_prime_power,
@@ -79,6 +81,10 @@ class TestOrderMod:
     def test_accepts_precomputed_factors(self):
         nf = arith.factor(225)
         assert order_mod(2, 225, n_factors=nf) == order_mod(2, 225)
+
+    def test_mismatched_factors_rejected(self):
+        with pytest.raises(DomainError):
+            order_mod(10, 21, n_factors=arith.factor(7))
 
 
 class TestOrderPrimePower:
@@ -165,6 +171,43 @@ class TestOrderRecord:
                     assert m >= 1
                     acc = acc * opt // math.gcd(acc, opt)
                 assert acc == rec.order
+
+
+class TestModulusProfile:
+    def test_structure(self):
+        # |8| mod 3 = 2, |8| mod 5 = 4 and |8| mod 25 = 20.
+        assert modulus_profile(8, 75) == ModulusProfile(
+            base=8,
+            modulus=75,
+            factors=arith.factor(75),
+            order=20,
+            per_prime=((3, 1, 2, 2), (5, 2, 20, 4)),
+        )
+
+    def test_against_naive_orders(self):
+        for n in range(1, 400):
+            for b in (2, 3, 10, 61):
+                if math.gcd(b, n) != 1:
+                    continue
+                prof = modulus_profile(b, n)
+                assert prof.factors == arith.factor(n)
+                assert prof.order == order_mod_naive(b, n)
+                assert [(p, t) for p, t, _, _ in prof.per_prime] == list(prof.factors)
+                for p, t, opt, op in prof.per_prime:
+                    assert opt == naive_order(b, p**t)
+                    assert op == naive_order(b, p)
+
+    def test_precomputed_factors(self):
+        nf = arith.factor(360)
+        assert modulus_profile(7, 360, n_factors=nf) == modulus_profile(7, 360)
+        with pytest.raises(DomainError):
+            modulus_profile(7, 360, n_factors=arith.factor(180))
+
+    def test_bad_inputs(self):
+        with pytest.raises(PreconditionError):
+            modulus_profile(10, 15)
+        with pytest.raises(DomainError):
+            modulus_profile(10, 0)
 
 
 class TestMemoDeterminism:
