@@ -54,13 +54,11 @@ from .midy import (
 )
 from .order import (
     ModulusProfile,
-    OrderRecord,
     lift_valuation,
     modulus_profile,
     order_mod,
     order_mod_naive,
     order_prime_power,
-    order_record,
 )
 from .progression import (
     DEFAULT_SEARCH_BOUND,
@@ -90,7 +88,6 @@ __all__ = [
     "MidylabError",
     "ModulusProfile",
     "OracleCertificate",
-    "OrderRecord",
     "PeriodExpansion",
     "PreconditionError",
     "PrimeCertificate",
@@ -118,7 +115,6 @@ __all__ = [
     "order_mod",
     "order_mod_naive",
     "order_prime_power",
-    "order_record",
     "period_digits",
     "pow_mod",
     "prime_power_midy_structure",

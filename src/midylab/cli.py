@@ -21,8 +21,6 @@ from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
 from .order import modulus_profile, order_mod
 
-CACHE_ENV_VAR = "MIDYLAB_CACHE"
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
@@ -53,80 +51,6 @@ def _certificate_text(cert) -> str:
     if isinstance(cert, GcdCertificate):
         return f" (g={cert.g})"
     raise TypeError(f"unknown certificate {cert!r}")
-
-
-# ---------------------------------------------------------------------------
-# Factorization cache
-# ---------------------------------------------------------------------------
-
-
-class FactorCache:
-    """Append-only text cache of factorizations, one line n=p^e*p^e*...
-
-    Entries are revalidated on load: the product must reconstruct n and
-    every base must be prime; lines failing either check are ignored.
-    """
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.entries: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._loaded: set[int] = set()
-        if path and os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    parsed = self._parse_line(line.strip())
-                    if parsed is not None:
-                        n, factors = parsed
-                        self.entries[n] = factors
-                        self._loaded.add(n)
-
-    @staticmethod
-    def _parse_line(line: str):
-        if not line or "=" not in line:
-            return None
-        left, _, right = line.partition("=")
-        try:
-            n = int(left)
-            factors = []
-            if right != "":
-                for term in right.split("*"):
-                    p_text, _, e_text = term.partition("^")
-                    factors.append((int(p_text), int(e_text)))
-        except ValueError:
-            return None
-        product = 1
-        for p, e in factors:
-            if e < 1 or not arith.is_prime(p):
-                return None
-            product *= p**e
-        primes = [p for p, _ in factors]
-        if product != n or any(a >= b for a, b in zip(primes, primes[1:])):
-            return None
-        return n, tuple(factors)
-
-    def factor(self, n: int) -> Factorization:
-        cached = self.entries.get(n)
-        if cached is not None:
-            return Factorization(cached)
-        result = arith.factor(n)
-        self.entries[n] = result.factors
-        return result
-
-    def flush(self) -> None:
-        """Append entries not yet present in the file, ascending by n."""
-        if not self.path:
-            return
-        new = sorted(n for n in self.entries if n not in self._loaded)
-        if not new:
-            return
-        with open(self.path, "a", encoding="ascii") as fh:
-            for n in new:
-                fh.write(self.format_line(n, self.entries[n]) + "\n")
-        self._loaded.update(new)
-
-    @staticmethod
-    def format_line(n: int, factors) -> str:
-        return f"{n}=" + "*".join(f"{p}^{e}" for p, e in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +158,9 @@ def _cmd_jenkins(args, out) -> int:
             holds = jenkins.jenkins_check(inst)
             cert = None
         else:
-            holds = jenkins.jenkins_check_gcd(inst)
-            cert = None
-            if not holds:
-                N = inst.modulus
-                k = order_mod(inst.base, N) // inst.d
-                cert = GcdCertificate(g=arith.gcd_pow_minus_one(inst.base, k, N))
+            g = jenkins._block_gcd(inst)
+            holds = g == 1
+            cert = None if holds else GcdCertificate(g=g)
         if args.format == "json":
             out.write(
                 _json(
@@ -296,37 +217,32 @@ def _scan_row(b: int, n: int, factors: tuple[tuple[int, int], ...]):
 
 
 def _scan_chunk(task):
-    b, lo, hi, cache_entries = task
-    rows = []
-    for n in range(lo, hi):
-        if math.gcd(n, b) != 1:
-            continue
-        factors = cache_entries.get(n) or arith.factor(n).factors
-        rows.append((_scan_row(b, n, factors), factors))
-    return rows
+    b, lo, hi = task
+    return [
+        _scan_row(b, n, arith.factor(n).factors)
+        for n in range(lo, hi)
+        if math.gcd(n, b) == 1
+    ]
 
 
 def _cmd_scan(args, out) -> int:
     if args.start < 1 or args.stop < args.start:
         raise MidylabError(f"bad scan range [{args.start}, {args.stop}]")
-    cache = FactorCache(args.cache or os.environ.get(CACHE_ENV_VAR))
     lo, hi = args.start, args.stop + 1
     if args.jobs > 1:
         chunk = max(1, math.ceil((hi - lo) / args.jobs))
-        tasks = [
-            (args.base, a, min(a + chunk, hi), cache.entries)
-            for a in range(lo, hi, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks))
-        results = [row for rows in chunks for row in rows]
+        tasks = [(args.base, a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
+        # The pool starts all its workers at once, so never ask for more
+        # than there are tasks or CPUs.
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [row for rows in pool.map(_scan_chunk, tasks) for row in rows]
     else:
-        results = _scan_chunk((args.base, lo, hi, cache.entries))
+        results = _scan_chunk((args.base, lo, hi))
 
     if args.format == "csv":
         out.write("n,base,order,midy_set\n")
-    for (n, L, members, excluded), factors in results:
-        cache.entries.setdefault(n, factors)
+    for n, L, members, excluded in results:
         if args.format == "json":
             out.write(
                 _json(
@@ -347,7 +263,6 @@ def _cmd_scan(args, out) -> int:
             out.write(
                 f"{n},{args.base},{L}," + ";".join(str(d) for d in members) + "\n"
             )
-    cache.flush()
     return EXIT_OK
 
 
@@ -360,6 +275,13 @@ def _base_arg(text: str) -> int:
     value = int(text)
     if not 2 <= value <= 62:
         raise argparse.ArgumentTypeError("base must be between 2 and 62")
+    return value
+
+
+def _jobs_arg(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be >= 1")
     return value
 
 
@@ -441,8 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_base_arg, required=True)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", default=None)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     add_format(p, choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scan)
 

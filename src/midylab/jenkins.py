@@ -153,9 +153,15 @@ def jenkins_check(inst: JenkinsInstance) -> bool:
     )
 
 
+def _block_gcd(inst: JenkinsInstance) -> int:
+    # gcd(b**k - 1, N) with k = order of b mod N over d.  The instance
+    # already lists the prime powers of N, so N is never factored.
+    N = inst.modulus
+    n_factors = arith.Factorization(tuple(sorted(inst.prime_powers)))
+    k = order_mod(inst.base, N, n_factors=n_factors) // inst.d
+    return arith.gcd_pow_minus_one(inst.base, k, N)
+
+
 def jenkins_check_gcd(inst: JenkinsInstance) -> bool:
     """Direct route: gcd(b**k - 1, N) == 1 with k = order of b mod N over d."""
-    N = inst.modulus
-    L = order_mod(inst.base, N)
-    k = L // inst.d
-    return arith.gcd_pow_minus_one(inst.base, k, N) == 1
+    return _block_gcd(inst) == 1

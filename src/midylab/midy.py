@@ -91,9 +91,7 @@ class MidySet:
     members: tuple[int, ...]
 
 
-def _check_args(b: int, N: int, d: int, L: int) -> int:
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1")
+def _check_args(d: int, L: int) -> int:
     if d <= 1:
         raise PreconditionError("block count d must be > 1")
     if L % d != 0:
@@ -154,7 +152,7 @@ def midy_check_ppl2(
     may supply a factorization of N; DomainError if it is not one.
     """
     profile = modulus_profile(b, N, n_factors=n_factors)
-    _check_args(b, N, d, profile.order)
+    _check_args(d, profile.order)
     [(_, certificate)] = _ppl2_verdicts(profile, (d,))
     return MidyVerdict(
         holds=certificate is None, method="ppl2", certificate=certificate
@@ -174,10 +172,10 @@ def midy_check_ppl3(
     input.  n_factors may supply a factorization of N; DomainError if it
     is not one.
     """
-    L = order_mod(b, N, n_factors=n_factors)
-    k = _check_args(b, N, d, L)
     if n_factors is None:
         n_factors = arith.factor(N)
+    L = order_mod(b, N, n_factors=n_factors)
+    k = _check_args(d, L)
     order_primes = arith.factor(L).primes()
     for p, nu_n in n_factors:
         nu_d = arith.valuation(p, d)
@@ -216,6 +214,7 @@ def midy_set(
     b: int, N: int, *, n_factors: Factorization | None = None
 ) -> MidySet:
     """Enumerate every block count d > 1 of the order with the property."""
+    # Checked before the profile, which would call N <= 0 a DomainError.
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1")
     profile = modulus_profile(b, N, n_factors=n_factors)
@@ -235,7 +234,7 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
     """
     profile = modulus_profile(b, N)
     L = profile.order
-    k = _check_args(b, N, d, L)
+    k = _check_args(d, L)
     for p, nu_n, _, _ in profile.per_prime:
         if nu_n <= arith.valuation(p, d):
             raise HypothesisNotApplicableError(

@@ -23,29 +23,12 @@ from .errors import DomainError, PreconditionError
 
 __all__ = [
     "ModulusProfile",
-    "OrderRecord",
     "lift_valuation",
     "modulus_profile",
     "order_mod",
     "order_mod_naive",
     "order_prime_power",
-    "order_record",
 ]
-
-
-@dataclass(frozen=True)
-class OrderRecord:
-    """Order of base modulo modulus together with its per-prime-power parts.
-
-    per_prime lists (p, t, order mod p**t, m) for each p**t in the
-    factorization of the modulus, where m is the p-adic valuation of
-    base**(order mod p) - 1 (0 recorded for the degenerate base 1).
-    """
-
-    base: int
-    modulus: int
-    order: int
-    per_prime: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -142,22 +125,6 @@ def order_prime_power(b: int, p: int, t: int) -> int:
     return p ** (t - m) * op
 
 
-def order_record(b: int, N: int) -> OrderRecord:
-    """Order of b in the multiplicative group mod N, with per-prime parts."""
-    if N < 1:
-        raise DomainError("modulus must be >= 1")
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
-    per_prime = []
-    order = 1
-    for p, t in arith.factor(N):
-        opt = order_prime_power(b, p, t)
-        m = lift_valuation(b, p) if b > 1 else 0
-        per_prime.append((p, t, opt, m))
-        order = order * opt // math.gcd(order, opt)
-    return OrderRecord(base=b, modulus=N, order=order, per_prime=tuple(per_prime))
-
-
 def modulus_profile(
     b: int, N: int, *, n_factors: arith.Factorization | None = None
 ) -> ModulusProfile:
@@ -184,17 +151,12 @@ def modulus_profile(
 
 
 def order_mod(
-    b: int,
-    N: int,
-    *,
-    n_factors: arith.Factorization | None = None,
-    debug_check: bool = False,
+    b: int, N: int, *, n_factors: arith.Factorization | None = None
 ) -> int:
     """Least L >= 1 with b**L == 1 (mod N); requires gcd(b, N) == 1.
 
     n_factors may supply a precomputed factorization of N; DomainError if
-    it does not multiply back to N.  debug_check cross-validates the
-    result against the successive-powers scan (slow; for diagnostics only).
+    it does not multiply back to N.
     """
     if N < 1:
         raise DomainError("modulus must be >= 1")
@@ -206,12 +168,6 @@ def order_mod(
     for p, t in _factorization(N, n_factors):
         opt = order_prime_power(b, p, t)
         order = order * opt // math.gcd(order, opt)
-    if debug_check:
-        naive = order_mod_naive(b, N)
-        if naive != order:
-            raise AssertionError(
-                f"order_mod({b}, {N}) = {order} disagrees with naive scan {naive}"
-            )
     return order
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import arith
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
-from .order import lift_valuation, modulus_profile, order_mod, _order_mod_prime
+from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -76,42 +76,35 @@ class ProgressionTrace:
         return tuple(m for m, _ in self.steps)
 
 
-def _check_prime_power_args(b: int, N: int, q: int, v: int) -> int:
+def _checked_profile(b: int, N: int, q: int, v: int) -> ModulusProfile:
+    # The gcd is checked before the profile so that N <= 0 sharing a
+    # factor with b is a PreconditionError, as for every N >= 1.
     if not arith.is_prime(q):
         raise PreconditionError(f"{q} is not prime")
     if v < 1:
         raise PreconditionError("v must be >= 1")
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1")
-    L = order_mod(b, N)
-    if L % q**v != 0:
-        raise PreconditionError(f"{q}**{v} does not divide the order {L}")
-    return L
+    profile = modulus_profile(b, N)
+    if profile.order % q**v != 0:
+        raise PreconditionError(f"{q**v} does not divide the order {profile.order}")
+    return profile
 
 
 def prime_power_structure(b: int, N: int, q: int, v: int) -> PrimePowerStructure:
     """Collect the shape data needed by the structural membership test."""
-    _check_prime_power_args(b, N, q, v)
-    n = 0
-    others = []
-    for p, h in arith.factor(N):
-        if p == q:
-            n = h
-        else:
-            others.append((p, h))
-    m = lift_valuation(b, q) if n > 0 else None
-    vals = tuple(
-        arith.valuation(q, _order_mod_prime(b % p, p)) for p, _ in others
-    )
+    profile = _checked_profile(b, N, q, v)
+    n = profile.factors.valuation(q)
+    rest = [(p, h, ord_p) for p, h, _, ord_p in profile.per_prime if p != q]
     return PrimePowerStructure(
         base=b,
         q=q,
         v=v,
         modulus=N,
         q_exponent=n,
-        others=tuple(others),
-        m=m,
-        order_valuations=vals,
+        others=tuple((p, h) for p, h, _ in rest),
+        m=lift_valuation(b, q) if n > 0 else None,
+        order_valuations=tuple(arith.valuation(q, ord_p) for _, _, ord_p in rest),
     )
 
 
@@ -127,7 +120,8 @@ def prime_power_midy_structure(b: int, N: int, q: int, v: int) -> bool:
     """
     s = prime_power_structure(b, N, q, v)
     if not s.others:
-        return midy_check_ppl2(b, N, q**v).holds
+        pure = arith.Factorization(((q, s.q_exponent),))
+        return midy_check_ppl2(b, N, q**v, n_factors=pure).holds
     if s.q_exponent > v:
         return False
     if any(a == 0 for a in s.order_valuations):
@@ -146,15 +140,8 @@ def midy_prime_v1_check(b: int, N: int, q: int) -> bool:
     additionally q**2 must not divide N, and the equality is required of
     every prime of N other than q.
     """
-    if not arith.is_prime(q):
-        raise PreconditionError(f"{q} is not prime")
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1")
-    profile = modulus_profile(b, N)
-    L = profile.order
-    if L % q != 0:
-        raise PreconditionError(f"{q} does not divide the order {L}")
-    nu_L = arith.valuation(q, L)
+    profile = _checked_profile(b, N, q, 1)
+    nu_L = arith.valuation(q, profile.order)
     if profile.factors.valuation(q) > 1:
         return False
     return all(

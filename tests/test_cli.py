@@ -1,4 +1,4 @@
-"""CLI surface tests: exact outputs, exit codes, formats, cache handling."""
+"""CLI surface tests: exact outputs, exit codes, formats, scan workers."""
 
 import hashlib
 import io
@@ -215,6 +215,50 @@ class TestScanCommand:
         code, _ = run_cli(["scan", "--base", "10", "--from", "9", "--to", "4"])
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(SystemExit) as info:
+            cli.main(
+                ["scan", "--base", "10", "--from", "2", "--to", "20", "--jobs", jobs]
+            )
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "jobs,stop,cpus,want",
+        [
+            (8, 100, 2, 2),  # capped by the CPU count
+            (8, 4, 64, 3),  # capped by the tasks: one each for n = 2, 3, 4
+            (3, 100, None, 1),  # CPU count unknown
+            (2, 100, 64, 2),
+        ],
+    )
+    def test_worker_cap(self, monkeypatch, jobs, stop, cpus, want):
+        # An in-process stand-in for the pool records the worker count
+        # it is asked for, so no process is started.
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["scan", "--base", "10", "--from", "2", "--to", str(stop)]
+        _, serial = run_cli(argv)
+        code, pooled = run_cli(argv + ["--jobs", str(jobs)])
+        assert code == 0
+        assert asked == [want]
+        assert pooled == serial
+
 
 class TestScanGolden:
     """scan output pinned byte for byte by its sha256 and length."""
@@ -247,43 +291,6 @@ class TestScanGolden:
         data = out.encode("ascii")
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
-
-
-class TestCache:
-    def test_round_trip_and_validation(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        path.write_text(
-            "75=3^1*5^2\n"  # valid
-            "10=2^1*7^1\n"  # wrong product: ignored
-            "12=4^1*3^1\n"  # 4 is not prime: ignored
-            "8=2^1*2^2\n"  # repeated prime: ignored
-            "junk\n"  # unparseable: ignored
-        )
-        cache = cli.FactorCache(str(path))
-        assert set(cache.entries) == {75}
-        assert cache.factor(75).factors == ((3, 1), (5, 2))
-        assert cache.factor(12).factors == ((2, 2), (3, 1))
-        cache.flush()
-        text = path.read_text().splitlines()
-        assert "12=2^2*3^1" in text
-        # appended entries load back and repeated flushes add nothing
-        again = cli.FactorCache(str(path))
-        assert set(again.entries) == {12, 75}
-        again.flush()
-        assert path.read_text().splitlines() == text
-
-    def test_scan_uses_cache_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "envcache.txt"
-        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
-        code, first = run_cli(["scan", "--base", "10", "--from", "2", "--to", "30"])
-        assert code == 0
-        assert path.exists()
-        cached_lines = path.read_text().splitlines()
-        assert all("=" in line for line in cached_lines)
-        # a second scan reuses the file and produces identical output
-        code, second = run_cli(["scan", "--base", "10", "--from", "2", "--to", "30"])
-        assert second == first
-        assert path.read_text().splitlines() == cached_lines
 
 
 class TestUsageErrors:

@@ -200,6 +200,8 @@ class TestMidySet:
     def test_non_coprime_rejected(self):
         with pytest.raises(PreconditionError):
             midy_set(10, 35)
+        with pytest.raises(PreconditionError):
+            midy_set(10, 0)
 
 
 class TestAgainstOracle:

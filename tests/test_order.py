@@ -6,17 +6,18 @@ import pytest
 
 from midylab import arith
 from midylab.errors import DomainError, PreconditionError
+from midylab.jenkins import jenkins_check_gcd, jenkins_instance
+from midylab.midy import midy_check_ppl3
 from midylab.order import (
     ModulusProfile,
-    OrderRecord,
     _order_mod_prime,
     lift_valuation,
     modulus_profile,
     order_mod,
     order_mod_naive,
     order_prime_power,
-    order_record,
 )
+from midylab.progression import prime_power_structure
 
 
 def naive_order(b: int, n: int) -> int:
@@ -56,9 +57,6 @@ class TestOrderMod:
             for b in (2, 3, 7, 10, 16, 23):
                 if math.gcd(b, n) == 1:
                     assert order_mod(b, n) == naive_order(b, n), (b, n)
-
-    def test_debug_check_flag(self):
-        assert order_mod(10, 99, debug_check=True) == 2
 
     def test_divides_group_exponent(self):
         for n in range(2, 120):
@@ -144,35 +142,6 @@ class TestLiftValuation:
                 assert lift_valuation(b, p) == arith.valuation(p, b**op - 1)
 
 
-class TestOrderRecord:
-    def test_structure(self):
-        # |8| mod 3 = 2 with 8**2 - 1 = 63 = 3**2 * 7, |8| mod 25 = 20
-        # with 8**20 - 1 divisible by 5 exactly once... m for p=5 comes from
-        # |8| mod 5 = 4 and 8**4 - 1 = 4095 = 3**2 * 5 * 7 * 13.
-        rec = order_record(8, 75)
-        assert rec == OrderRecord(
-            base=8, modulus=75, order=20, per_prime=((3, 1, 2, 2), (5, 2, 20, 1))
-        )
-
-    def test_invariants(self):
-        for n in (13, 75, 91, 360, 1111):
-            for b in (2, 7, 10):
-                if math.gcd(b, n) != 1:
-                    continue
-                rec = order_record(b, n)
-                assert pow(b, rec.order, n) == 1
-                # minimal: no maximal proper divisor of the order works
-                for q, _ in arith.factor(rec.order):
-                    assert pow(b, rec.order // q, n) != 1
-                # lcm decomposition over the prime powers of n
-                acc = 1
-                for p, t, opt, m in rec.per_prime:
-                    assert opt == naive_order(b, p**t)
-                    assert m >= 1
-                    acc = acc * opt // math.gcd(acc, opt)
-                assert acc == rec.order
-
-
 class TestModulusProfile:
     def test_structure(self):
         # |8| mod 3 = 2, |8| mod 5 = 4 and |8| mod 25 = 20.
@@ -225,3 +194,32 @@ class TestNaiveFallback:
         for n in range(2, 200):
             if math.gcd(10, n) == 1:
                 assert order_mod_naive(10, n) == order_mod(10, n)
+
+
+class TestOneFactorization:
+    """Readers of a modulus's order data factor that modulus at most once."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        seen = []
+        real = arith.factor
+
+        def counting(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "factor", counting)
+        return seen
+
+    def test_prime_power_structure(self, factored):
+        prime_power_structure(10, 21, 3, 1)
+        assert factored.count(21) == 1
+
+    def test_ppl3(self, factored):
+        midy_check_ppl3(10, 21, 6)
+        assert factored.count(21) == 1
+
+    def test_jenkins_gcd_route_reads_the_instance(self, factored):
+        inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
+        jenkins_check_gcd(inst)
+        assert inst.modulus not in factored
