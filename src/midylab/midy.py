@@ -10,8 +10,9 @@ The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
-midy_set, midy_check_ppl2 and the CLI scan share that route.  A supplied
-n_factors is checked against N (DomainError on a mismatch).
+midy_set, midy_check_ppl2 and the CLI scan share that route; the
+cross-check reads the same profile but decides by its own rule.  A
+supplied n_factors is checked against N (DomainError on a mismatch).
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
 strict: squaring b**k gains nu_2(b**k + 1) - 1 extra factors of two, so
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from . import arith, expansion
 from .arith import Factorization
 from .errors import HypothesisNotApplicableError, PreconditionError
-from .order import ModulusProfile, modulus_profile, order_mod, _order_mod_prime
+from .order import ModulusProfile, modulus_profile
 
 __all__ = [
     "GcdCertificate",
@@ -172,12 +173,11 @@ def midy_check_ppl3(
     input.  n_factors may supply a factorization of N; DomainError if it
     is not one.
     """
-    if n_factors is None:
-        n_factors = arith.factor(N)
-    L = order_mod(b, N, n_factors=n_factors)
+    profile = modulus_profile(b, N, n_factors=n_factors)
+    L = profile.order
     k = _check_args(d, L)
     order_primes = arith.factor(L).primes()
-    for p, nu_n in n_factors:
+    for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
             if nu_n > _allowance(2, b, k, d):
@@ -189,7 +189,6 @@ def midy_check_ppl3(
             continue
         if nu_n <= nu_d:
             continue
-        ord_p = _order_mod_prime(b % p, p)
         if not any(
             arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
             for q in order_primes

@@ -9,7 +9,8 @@ scan instead.
 modulus_profile gathers everything the deciders read about one modulus
 (its factorization, the order, and the orders at each prime and prime
 power) in a single pass, so that deciding many block counts for the same
-N computes none of it twice.
+N computes none of it twice.  order_mod is the order field of that
+profile, so there is one route to a modulus's order data.
 """
 
 from __future__ import annotations
@@ -155,20 +156,10 @@ def order_mod(
 ) -> int:
     """Least L >= 1 with b**L == 1 (mod N); requires gcd(b, N) == 1.
 
-    n_factors may supply a precomputed factorization of N; DomainError if
-    it does not multiply back to N.
+    Read from modulus_profile(b, N).  n_factors may supply a precomputed
+    factorization of N; DomainError if it does not multiply back to N.
     """
-    if N < 1:
-        raise DomainError("modulus must be >= 1")
-    if N == 1:
-        return 1
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
-    order = 1
-    for p, t in _factorization(N, n_factors):
-        opt = order_prime_power(b, p, t)
-        order = order * opt // math.gcd(order, opt)
-    return order
+    return modulus_profile(b, N, n_factors=n_factors).order
 
 
 def order_mod_naive(b: int, N: int) -> int:

@@ -3,10 +3,11 @@
 For a prime q and exponent v, membership of q**v in the property set of N
 is decided from the shape of N alone: the exponent of q in N, the lift
 valuation m of the base at q, and the q-adic valuations of the base's
-orders at the remaining primes of N.  The smallest N admitting q**v is
-always a prime congruent to 1 mod q**v, which yields an endless supply of
-such primes: each found prime forces a larger q-power modulus, which
-forces a larger prime.
+orders at the remaining primes of N.  Every prime P == 1 (mod q**v) whose
+order q**v divides admits q**v, and the smallest N admitting q**v is such
+a prime (except N = 4 for q**v = 2 in some odd bases).  That yields an
+endless supply of such primes: each found prime forces a larger q-power
+modulus, which forces a larger prime.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import arith
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
 from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
+from .order import _order_mod_prime
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -150,21 +152,27 @@ def midy_prime_v1_check(b: int, N: int, q: int) -> bool:
     )
 
 
-def smallest_midy_witness(
-    b: int, q: int, v: int, *, bound: int = DEFAULT_SEARCH_BOUND
-) -> int:
-    """Smallest N >= 2 coprime to b whose property set contains q**v.
-
-    Linear scan over N <= bound.  The result is always a prime congruent
-    to 1 mod q**v; that is asserted, and its failure would falsify the
-    theory, not the input.
-    """
+def _check_search_args(b: int, q: int, v: int) -> None:
     if b < 2:
         raise PreconditionError("base must be >= 2")
     if not arith.is_prime(q):
         raise PreconditionError(f"{q} is not prime")
     if v < 1:
         raise PreconditionError("v must be >= 1")
+
+
+def smallest_midy_witness(
+    b: int, q: int, v: int, *, bound: int = DEFAULT_SEARCH_BOUND
+) -> int:
+    """Smallest N >= 2 coprime to b whose property set contains q**v.
+
+    Linear scan over N <= bound; the reference for prime_progression's
+    search.  The result is a prime congruent to 1 mod q**v, except N = 4
+    for q**v = 2 when b == 3 (mod 4) and b != 2 (mod 3): the even-prime
+    allowance keeps 4 while 3 lacks an even order.  That is asserted, and
+    its failure would falsify the theory, not the input.
+    """
+    _check_search_args(b, q, v)
     d = q**v
     for N in range(2, bound + 1):
         if math.gcd(N, b) != 1:
@@ -172,7 +180,7 @@ def smallest_midy_witness(
         if order_mod(b, N) % d != 0:
             continue
         if midy_check_ppl2(b, N, d).holds:
-            assert arith.is_prime(N) and N % d == 1, (
+            assert (d == 2 and N == 4) or (arith.is_prime(N) and N % d == 1), (
                 f"witness {N} for base {b}, modulus {d} is not a prime "
                 f"congruent to 1"
             )
@@ -182,22 +190,21 @@ def smallest_midy_witness(
     )
 
 
-def _next_prime_in_progression(b: int, modulus: int, bound: int) -> int:
+def _next_prime_in_progression(b: int, modulus: int, last: int, bound: int) -> int:
     """Smallest prime P == 1 (mod modulus) whose property set has modulus.
 
-    Scans P = j * modulus + 1 for j = 1..bound.
+    Scans P = j * modulus + 1 for j = 1..last.  A prime has the property
+    for every d > 1 dividing its order, so only its order is computed.
     """
-    for j in range(1, bound + 1):
+    for j in range(1, last + 1):
         P = j * modulus + 1
         if math.gcd(P, b) != 1 or not arith.is_prime(P):
             continue
-        if order_mod(b, P) % modulus != 0:
-            continue
-        if midy_check_ppl2(b, P, modulus).holds:
+        if _order_mod_prime(b % P, P) % modulus == 0:
             return P
     raise BoundedSearchError(
         f"no prime congruent to 1 mod {modulus} with the property for base {b} "
-        f"within {bound} candidates",
+        f"within bound {bound}",
         bound,
     )
 
@@ -207,20 +214,20 @@ def prime_progression(
 ) -> ProgressionTrace:
     """Generate count primes congruent to 1 mod q**v, strictly increasing.
 
-    The first is the smallest witness for q**v; each later step takes the
-    least power q**(t*v) exceeding the previous prime and finds the
-    smallest prime congruent to 1 modulo it that keeps the property.
+    Each step takes the least power q**(t*v) above the previous prime
+    (q**v first) and the smallest prime congruent to 1 modulo it that
+    keeps the property: at most bound for the first step, and among the
+    first bound candidates for each later one.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
-    first = smallest_midy_witness(b, q, v, bound=bound)
-    steps = [(q**v, first)]
+    _check_search_args(b, q, v)
     step = q**v
+    first = _next_prime_in_progression(b, step, (bound - 1) // step, bound)
+    steps = [(step, first)]
     while len(steps) < count:
-        prev = steps[-1][1]
-        modulus = step
+        modulus, prev = steps[-1]
         while modulus <= prev:
             modulus *= step
-        prime = _next_prime_in_progression(b, modulus, bound)
-        steps.append((modulus, prime))
+        steps.append((modulus, _next_prime_in_progression(b, modulus, bound, bound)))
     return ProgressionTrace(base=b, q=q, v=v, steps=tuple(steps))

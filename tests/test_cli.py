@@ -171,6 +171,15 @@ class TestPrimesCommand:
         assert row["primes"] == [7, 17]
         assert row["moduli"] == [2, 8]
 
+    def test_even_prime_witness_base(self):
+        # the smallest witness of 2 in base 3 is 4; the progression
+        # starts at the least prime with the property
+        code, out = run_cli(
+            ["primes", "--base", "3", "--q", "2", "--v", "1", "--count", "3"]
+        )
+        assert code == 0
+        assert out.splitlines() == ["5 (1 mod 2)", "17 (1 mod 8)", "257 (1 mod 32)"]
+
     def test_search_exhaustion_exit_code(self):
         code, _ = run_cli(
             ["primes", "--base", "10", "--q", "3", "--v", "4", "--count", "1",

@@ -188,6 +188,20 @@ class TestMidySet:
                 if arith.is_prime(n):
                     assert member == (math.gcd(b - 1, n) == 1), (b, n)
 
+    def test_prime_has_every_divisor_of_its_order(self):
+        # prime_progression's search rests on this: N = P has one prime,
+        # of order L, and no k = L/d with d > 1 is a multiple of L.
+        primes = [p for p in range(2, 1000) if arith.is_prime(p)]
+        sets = 0
+        for b in range(2, 63):
+            for p in primes:
+                if b % p == 0:
+                    continue
+                s = midy_set(b, p)
+                assert s.members == tuple(arith.factor(s.order).divisors()[1:]), (b, p)
+                sets += 1
+        assert sets == 10149
+
     def test_full_order_member_despite_nontrivial_gcd(self):
         # even moduli can keep the property beyond the naive gcd test:
         # every one-digit block sum of x/4 in base 3 is exactly 2

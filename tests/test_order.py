@@ -17,7 +17,7 @@ from midylab.order import (
     order_mod_naive,
     order_prime_power,
 )
-from midylab.progression import prime_power_structure
+from midylab.progression import prime_power_structure, prime_progression
 
 
 def naive_order(b: int, n: int) -> int:
@@ -218,6 +218,14 @@ class TestOneFactorization:
     def test_ppl3(self, factored):
         midy_check_ppl3(10, 21, 6)
         assert factored.count(21) == 1
+
+    def test_progression_never_factors_a_candidate(self, factored):
+        trace = prime_progression(10, 3, 1, 5)
+        candidates = {
+            j * m + 1 for m, p in trace.steps for j in range(1, (p - 1) // m + 1)
+        }
+        assert trace.primes == (7, 19, 109, 487, 2917)
+        assert not candidates & set(factored)
 
     def test_jenkins_gcd_route_reads_the_instance(self, factored):
         inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])

@@ -6,7 +6,7 @@ import pytest
 
 from midylab import arith
 from midylab.errors import BoundedSearchError, PreconditionError
-from midylab.midy import midy_check_ppl2
+from midylab.midy import midy_check_direct, midy_check_ppl2
 from midylab.order import order_mod
 from midylab.progression import (
     midy_prime_v1_check,
@@ -121,6 +121,15 @@ class TestSmallestWitness:
             smallest_midy_witness(10, 3, 4, bound=50)
         assert info.value.bound == 50
 
+    def test_even_prime_witness_four(self):
+        # 4 keeps block count 2 by the even-prime allowance exactly when
+        # b == 3 (mod 4); it is the smallest witness when 3 has no even
+        # order, i.e. b != 2 (mod 3).
+        fours = [b for b in range(2, 63) if smallest_midy_witness(b, 2, 1) == 4]
+        assert fours == [3, 7, 15, 19, 27, 31, 39, 43, 51, 55]
+        for b in fours:
+            assert midy_check_direct(b, 4, 2).holds, b
+
 
 class TestProgression:
     def test_examples(self):
@@ -133,7 +142,7 @@ class TestProgression:
         assert t.moduli == (5,)
 
     def test_trace_invariants(self):
-        for b, q, v in [(10, 3, 1), (2, 2, 1), (10, 2, 2), (2, 5, 1)]:
+        for b, q, v in [(10, 3, 1), (2, 2, 1), (10, 2, 2), (2, 5, 1), (3, 2, 1)]:
             trace = prime_progression(b, q, v, 5)
             primes = trace.primes
             moduli = trace.moduli
@@ -164,6 +173,20 @@ class TestProgression:
                     and midy_check_ppl2(10, candidate, m).holds
                 )
                 assert not ok, (m, candidate)
+
+    def test_first_prime_is_at_most_bound(self):
+        with pytest.raises(BoundedSearchError) as info:
+            prime_progression(10, 3, 4, 1, bound=162)
+        assert info.value.bound == 162
+        assert prime_progression(10, 3, 4, 1, bound=163).steps == ((81, 163),)
+
+    def test_later_step_exhaustion_reports_callers_bound(self):
+        # (19, 163, 17497): the third prime is candidate j = 24 of 729
+        assert prime_progression(2, 3, 2, 2, bound=19).primes == (19, 163)
+        with pytest.raises(BoundedSearchError) as info:
+            prime_progression(2, 3, 2, 3, bound=19)
+        assert info.value.bound == 19
+        assert prime_progression(2, 3, 2, 3, bound=24).primes[-1] == 17497
 
     def test_count_validation(self):
         with pytest.raises(PreconditionError):
