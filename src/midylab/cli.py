@@ -8,7 +8,7 @@ precondition error, 2 usage error, 3 bounded-search exhaustion.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import collections
 import json
 import math
 import os
@@ -27,8 +27,9 @@ EXIT_USAGE = 2
 EXIT_SEARCH = 3
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# One encoder for every line: json.dumps builds a new encoder per call
+# whenever separators are given.
+_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _format_digits(digits, base: int) -> str:
@@ -38,7 +39,10 @@ def _format_digits(digits, base: int) -> str:
 
 
 def _certificate_json(cert):
-    return None if cert is None else dataclasses.asdict(cert)
+    # Every certificate is a flat dataclass of ints, so a copy of its
+    # instance dict is dataclasses.asdict, keys in field order, without
+    # the recursive deep copy.
+    return None if cert is None else dict(vars(cert))
 
 
 def _certificate_text(cert) -> str:
@@ -204,6 +208,13 @@ def _cmd_primes(args, out) -> int:
     return EXIT_OK
 
 
+# Rows per scan chunk.  Each chunk is decided and rendered by one call of
+# _scan_text, in a pool worker when --jobs > 1, and written as soon as it
+# is its turn.  Smaller chunks cost more pool round trips; larger ones
+# leave the workers unbalanced on short ranges.
+SCAN_CHUNK_ROWS = 256
+
+
 def _scan_row(b: int, n: int, factors: tuple[tuple[int, int], ...]):
     profile = modulus_profile(b, n, n_factors=Factorization(factors))
     members = []
@@ -216,39 +227,21 @@ def _scan_row(b: int, n: int, factors: tuple[tuple[int, int], ...]):
     return n, profile.order, members, excluded
 
 
-def _scan_chunk(task):
-    b, lo, hi = task
-    return [
-        _scan_row(b, n, arith.factor(n).factors)
-        for n in range(lo, hi)
-        if math.gcd(n, b) == 1
-    ]
-
-
-def _cmd_scan(args, out) -> int:
-    if args.start < 1 or args.stop < args.start:
-        raise MidylabError(f"bad scan range [{args.start}, {args.stop}]")
-    lo, hi = args.start, args.stop + 1
-    if args.jobs > 1:
-        chunk = max(1, math.ceil((hi - lo) / args.jobs))
-        tasks = [(args.base, a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-        # The pool starts all its workers at once, so never ask for more
-        # than there are tasks or CPUs.
-        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [row for rows in pool.map(_scan_chunk, tasks) for row in rows]
-    else:
-        results = _scan_chunk((args.base, lo, hi))
-
-    if args.format == "csv":
-        out.write("n,base,order,midy_set\n")
-    for n, L, members, excluded in results:
-        if args.format == "json":
-            out.write(
+def _scan_text(task) -> str:
+    """Decide the rows of n in [lo, hi) coprime to b and render them as fmt."""
+    b, lo, hi, fmt = task
+    lines = []
+    for n in range(lo, hi):
+        if math.gcd(n, b) != 1:
+            continue
+        # Looked up at call time, so a rebinding of _scan_row sees every row.
+        n, L, members, excluded = _scan_row(b, n, arith.factor(n).factors)
+        if fmt == "json":
+            lines.append(
                 _json(
                     {
                         "n": n,
-                        "base": args.base,
+                        "base": b,
                         "order": L,
                         "midy_set": members,
                         "excluded": [
@@ -257,12 +250,41 @@ def _cmd_scan(args, out) -> int:
                         ],
                     }
                 )
-                + "\n"
             )
         else:
-            out.write(
-                f"{n},{args.base},{L}," + ";".join(str(d) for d in members) + "\n"
-            )
+            lines.append(f"{n},{b},{L}," + ";".join(map(str, members)))
+        lines.append("\n")
+    return "".join(lines)
+
+
+def _cmd_scan(args, out) -> int:
+    if args.start < 1 or args.stop < args.start:
+        raise MidylabError(f"bad scan range [{args.start}, {args.stop}]")
+    hi = args.stop + 1
+    n_chunks = -(-(hi - args.start) // SCAN_CHUNK_ROWS)
+    tasks = (
+        (args.base, a, min(a + SCAN_CHUNK_ROWS, hi), args.format)
+        for a in range(args.start, hi, SCAN_CHUNK_ROWS)
+    )
+    if args.format == "csv":
+        out.write("n,base,order,midy_set\n")
+    # The pool starts all its workers at once, so never ask for more than
+    # there are chunks or CPUs; with one worker the scan runs in process.
+    workers = min(args.jobs, n_chunks, os.cpu_count() or 1)
+    if workers > 1:
+        # At most four chunks per worker are in flight, so neither a long
+        # range nor a slow reader of out makes the parent hold more text.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = collections.deque()
+            for task in tasks:
+                pending.append(pool.submit(_scan_text, task))
+                if len(pending) == 4 * workers:
+                    out.write(pending.popleft().result())
+            for future in pending:
+                out.write(future.result())
+    else:
+        for text in map(_scan_text, tasks):
+            out.write(text)
     return EXIT_OK
 
 

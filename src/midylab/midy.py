@@ -23,7 +23,6 @@ where both one-digit block sums equal b - 1 exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import arith, expansion
@@ -213,9 +212,6 @@ def midy_set(
     b: int, N: int, *, n_factors: Factorization | None = None
 ) -> MidySet:
     """Enumerate every block count d > 1 of the order with the property."""
-    # Checked before the profile, which would call N <= 0 a DomainError.
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1")
     profile = modulus_profile(b, N, n_factors=n_factors)
     members = tuple(d for d, cert in _ppl2_verdicts(profile) if cert is None)
     return MidySet(base=b, modulus=N, order=profile.order, members=members)

@@ -79,14 +79,10 @@ class ProgressionTrace:
 
 
 def _checked_profile(b: int, N: int, q: int, v: int) -> ModulusProfile:
-    # The gcd is checked before the profile so that N <= 0 sharing a
-    # factor with b is a PreconditionError, as for every N >= 1.
     if not arith.is_prime(q):
         raise PreconditionError(f"{q} is not prime")
     if v < 1:
         raise PreconditionError("v must be >= 1")
-    if math.gcd(b, N) != 1:
-        raise PreconditionError(f"gcd({b}, {N}) != 1")
     profile = modulus_profile(b, N)
     if profile.order % q**v != 0:
         raise PreconditionError(f"{q**v} does not divide the order {profile.order}")

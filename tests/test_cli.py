@@ -1,13 +1,17 @@
 """CLI surface tests: exact outputs, exit codes, formats, scan workers."""
 
+import dataclasses
+import functools
 import hashlib
 import io
 import json
 import sys
+from concurrent.futures import Future
 
 import pytest
 
 from midylab import cli, midy
+from midylab.midy import GcdCertificate
 from midylab.order import order_mod
 
 
@@ -213,16 +217,31 @@ class TestScanCommand:
                 assert item["d"] not in members
                 assert item["certificate"] is not None
 
-    def test_jobs_do_not_change_output(self):
-        _, seq = run_cli(["scan", "--base", "10", "--from", "2", "--to", "120"])
-        _, par = run_cli(
-            ["scan", "--base", "10", "--from", "2", "--to", "120", "--jobs", "4"]
-        )
+    def test_jobs_do_not_change_output(self, monkeypatch):
+        # Four chunks over a real two-process pool, whatever the host's
+        # CPU count.
+        started = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
+        _, seq = run_cli(argv)
+        _, par = run_cli(argv + ["--jobs", "2"])
+        assert started == [2]
         assert seq == par
 
     def test_bad_range(self):
-        code, _ = run_cli(["scan", "--base", "10", "--from", "9", "--to", "4"])
-        assert code == 1
+        for fmt in ("csv", "json"):
+            code, out = run_cli(
+                ["scan", "--base", "10", "--from", "9", "--to", "4", "--format", fmt]
+            )
+            assert code == 1
+            assert out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, jobs):
@@ -233,40 +252,115 @@ class TestScanCommand:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
-        "jobs,stop,cpus,want",
+        "jobs,chunks,cpus,want",
         [
             (8, 100, 2, 2),  # capped by the CPU count
-            (8, 4, 64, 3),  # capped by the tasks: one each for n = 2, 3, 4
-            (3, 100, None, 1),  # CPU count unknown
+            (8, 3, 64, 3),  # capped by the chunks
+            (3, 100, None, 1),  # CPU count unknown: no pool
             (2, 100, 64, 2),
         ],
     )
-    def test_worker_cap(self, monkeypatch, jobs, stop, cpus, want):
-        # An in-process stand-in for the pool records the worker count
-        # it is asked for, so no process is started.
-        asked = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    def test_worker_cap(self, inline_pool, monkeypatch, jobs, chunks, cpus, want):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        stop = 1 + chunks * cli.SCAN_CHUNK_ROWS  # n = 2 .. stop, full chunks
         argv = ["scan", "--base", "10", "--from", "2", "--to", str(stop)]
-        _, serial = run_cli(argv)
         code, pooled = run_cli(argv + ["--jobs", str(jobs)])
         assert code == 0
-        assert asked == [want]
-        assert pooled == serial
+        assert inline_pool == ([want] if want > 1 else [])
+        assert pooled == serial_scan(tuple(argv))
+
+
+@functools.lru_cache(maxsize=None)
+def serial_scan(argv):
+    return run_cli(list(argv))[1]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the scan's process pool with an in-process stand-in.
+
+    The stand-in runs each chunk when it is submitted, so no process
+    starts and counters in the test process see every row.  Returns the
+    list of worker counts it was asked for.
+    """
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return asked
+
+
+class TestScanStreaming:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_written_before_the_last_row_is_decided(
+        self, inline_pool, monkeypatch, jobs, fmt
+    ):
+        decided = 0
+        scan_row = cli._scan_row
+
+        def counting_row(*args):
+            nonlocal decided
+            decided += 1
+            return scan_row(*args)
+
+        writes = []  # (rows decided so far, text) per write
+
+        class RecordingStream:
+            def write(self, text):
+                writes.append((decided, text))
+
+        monkeypatch.setattr(cli, "_scan_row", counting_row)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        # 12 chunks: more than the 8 that two workers keep in flight.
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "3000",
+                "--format", fmt, "--jobs", str(jobs)]
+        monkeypatch.setattr(sys, "stdout", RecordingStream())
+        assert cli.main(argv) == 0
+        monkeypatch.undo()
+
+        assert inline_pool == ([2] if jobs == 2 else [])
+        assert "".join(text for _, text in writes) == serial_scan(tuple(argv[:-2]))
+        if fmt == "csv":
+            assert writes[0] == (0, "n,base,order,midy_set\n")
+            writes = writes[1:]
+        assert len(writes) == 12  # one per chunk
+        assert decided == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
+        assert writes[0][0] < decided
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            midy.midy_check_ppl2(8, 75, 10).certificate,
+            midy.midy_check_direct(8, 75, 10).certificate,
+            GcdCertificate(g=11),
+        ],
+        ids=lambda cert: type(cert).__name__,
+    )
+    def test_matches_asdict(self, cert):
+        got = cli._certificate_json(cert)
+        want = dataclasses.asdict(cert)
+        assert got == want
+        assert list(got) == list(want)
+
+    def test_none(self):
+        assert cli._certificate_json(None) is None
 
 
 class TestScanGolden:

@@ -214,7 +214,8 @@ class TestMidySet:
     def test_non_coprime_rejected(self):
         with pytest.raises(PreconditionError):
             midy_set(10, 35)
-        with pytest.raises(PreconditionError):
+        # N < 1 is a DomainError, as in order_mod and midy_check_ppl2.
+        with pytest.raises(DomainError):
             midy_set(10, 0)
 
 
