@@ -10,6 +10,7 @@ congruent to 1 modulo a prime power.
 from .arith import (
     Factorization,
     factor,
+    factor_range,
     gcd,
     gcd_pow_minus_one,
     is_prime,
@@ -95,6 +96,7 @@ __all__ = [
     "ProgressionTrace",
     "blocks_and_sum",
     "factor",
+    "factor_range",
     "gcd",
     "gcd_pow_minus_one",
     "guel_triple",

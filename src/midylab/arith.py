@@ -3,6 +3,11 @@
 Everything operates on plain Python ints (arbitrary precision, never
 negative here).  All functions are pure; nothing in this module keeps
 state between calls.
+
+factor factors one number by trial division below 1000 and Brent's rho
+beyond; factor_range factors a whole window of consecutive numbers with
+one sieve by the same small primes, so a range scan never trial-divides
+a number on its own.  Both give the same Factorization for every n.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .errors import DomainError
 __all__ = [
     "Factorization",
     "factor",
+    "factor_range",
     "gcd",
     "gcd_pow_minus_one",
     "is_prime",
@@ -196,12 +202,10 @@ class Factorization:
         """All positive divisors, ascending."""
         divs = [1]
         for p, e in self.factors:
-            pk = 1
-            block = []
+            block = divs
             for _ in range(e):
-                pk *= p
-                block.extend(d * pk for d in divs)
-            divs.extend(block)
+                block = [d * p for d in block]
+                divs += block
         divs.sort()
         return divs
 
@@ -274,3 +278,41 @@ def factor(n: int) -> Factorization:
         else:
             _factor_into(n, found)
     return Factorization(tuple(sorted(found.items())))
+
+
+def factor_range(lo: int, hi: int) -> list[Factorization]:
+    """[factor(n) for n in range(lo, hi)], with one sieve for the window.
+
+    Each prime below 1000 and up to isqrt(hi - 1) is divided out of the
+    multiples it has in the window, found by stepping, not by trial.  A
+    cofactor left over has no prime factor below 1000 or none up to its
+    square root, so it is prime when it is below 10**6, factor's own
+    rule; only a larger one goes on to factor's primality test and rho.
+    """
+    if lo < 1:
+        raise DomainError("factor_range requires lo >= 1")
+    rest = list(range(lo, hi))
+    found: list[list[tuple[int, int]]] = [[] for _ in rest]
+    limit = math.isqrt(hi - 1) if hi > lo else 0
+    for p in _SMALL_PRIMES:
+        if p > limit:
+            break
+        for i in range((-lo) % p, len(rest), p):
+            m = rest[i] // p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            rest[i] = m
+            found[i].append((p, e))
+    # Every prime in a cofactor exceeds every prime sieved out of it.
+    for m, factors in zip(rest, found):
+        if m == 1:
+            continue
+        if m < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
+            factors.append((m, 1))
+        else:
+            big: dict[int, int] = {}
+            _factor_into(m, big)
+            factors.extend(sorted(big.items()))
+    return [Factorization(tuple(factors)) for factors in found]

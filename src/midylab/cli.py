@@ -19,7 +19,7 @@ from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
 from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
-from .order import modulus_profile, order_mod
+from .order import _profile, order_mod
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -215,46 +215,41 @@ def _cmd_primes(args, out) -> int:
 SCAN_CHUNK_ROWS = 256
 
 
-def _scan_row(b: int, n: int, factors: tuple[tuple[int, int], ...]):
-    profile = modulus_profile(b, n, n_factors=Factorization(factors))
+def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
+    """The line of n, coprime to b, rendered as fmt; factors is n's
+    factorization as the chunk sieve made it, so it is not tested again."""
+    profile = _profile(b, n, factors)
+    verdicts = midy._ppl2_verdicts(profile)
+    if fmt != "json":
+        members = ";".join(str(d) for d, culprit in verdicts if culprit is None)
+        return f"{n},{b},{profile.order},{members}\n"
     members = []
     excluded = []
-    for d, cert in midy._ppl2_verdicts(profile):
-        if cert is None:
+    for d, culprit in verdicts:
+        if culprit is None:
             members.append(d)
         else:
-            excluded.append((d, cert))
-    return n, profile.order, members, excluded
+            cert = midy._prime_certificate(culprit, d)
+            excluded.append({"d": d, "certificate": _certificate_json(cert)})
+    row = {
+        "n": n,
+        "base": b,
+        "order": profile.order,
+        "midy_set": members,
+        "excluded": excluded,
+    }
+    return _json(row) + "\n"
 
 
 def _scan_text(task) -> str:
     """Decide the rows of n in [lo, hi) coprime to b and render them as fmt."""
     b, lo, hi, fmt = task
-    lines = []
-    for n in range(lo, hi):
-        if math.gcd(n, b) != 1:
-            continue
-        # Looked up at call time, so a rebinding of _scan_row sees every row.
-        n, L, members, excluded = _scan_row(b, n, arith.factor(n).factors)
-        if fmt == "json":
-            lines.append(
-                _json(
-                    {
-                        "n": n,
-                        "base": b,
-                        "order": L,
-                        "midy_set": members,
-                        "excluded": [
-                            {"d": d, "certificate": _certificate_json(cert)}
-                            for d, cert in excluded
-                        ],
-                    }
-                )
-            )
-        else:
-            lines.append(f"{n},{b},{L}," + ";".join(map(str, members)))
-        lines.append("\n")
-    return "".join(lines)
+    # _scan_row is looked up at call time, so a rebinding sees every row.
+    return "".join(
+        _scan_row(b, n, factors, fmt)
+        for n, factors in zip(range(lo, hi), arith.factor_range(lo, hi))
+        if math.gcd(n, b) == 1
+    )
 
 
 def _cmd_scan(args, out) -> int:
@@ -397,6 +392,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
+    except BrokenPipeError:
+        # The reader went away (scan | head).  Point stdout at devnull so
+        # the interpreter's last flush has nowhere to fail; the pool was
+        # shut down on the way out of _cmd_scan.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_DOMAIN
     except BoundedSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH

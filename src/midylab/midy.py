@@ -10,9 +10,12 @@ The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
-midy_set, midy_check_ppl2 and the CLI scan share that route; the
-cross-check reads the same profile but decides by its own rule.  A
-supplied n_factors is checked against N (DomainError on a mismatch).
+The divisors of L come from the profile's order factorization, so L is
+never factored either.  midy_set, midy_check_ppl2 and the CLI scan share
+that route, and only the callers that report a failure turn its culprit
+prime into a PrimeCertificate; the cross-check reads the same profile
+but decides by its own rule.  A supplied n_factors is checked against N
+(DomainError if it does not multiply back to N or lists a non-prime).
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
 strict: squaring b**k gains nu_2(b**k + 1) - 1 extra factors of two, so
@@ -117,25 +120,32 @@ def _allowance(p: int, b: int, k: int, d: int) -> int:
 
 
 def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
-    """Yield (d, certificate) for each block count d, read off the profile.
+    """Yield (d, culprit) for each block count d, read off the profile.
 
     divisors defaults to every d > 1 dividing the order, ascending; each
-    must divide the order.  The certificate is None exactly when d has the
-    property, else it names the first prime of N that breaks it.
+    must divide the order.  culprit is None exactly when d has the
+    property, else the per_prime entry (p, nu_p(N), ...) of the first
+    prime of N that breaks it, for _prime_certificate.
     """
     b, L = profile.base, profile.order
     if divisors is None:
-        divisors = arith.factor(L).divisors()[1:]
+        divisors = profile.order_factors.divisors()[1:]
     for d in divisors:
         k = L // d
-        certificate = None
-        for p, nu_n, _, ord_p in profile.per_prime:
+        culprit = None
+        for entry in profile.per_prime:
+            p, nu_n, _, ord_p = entry
             if k % ord_p == 0 and nu_n > _allowance(p, b, k, d):
-                certificate = PrimeCertificate(
-                    p=p, nu_n=nu_n, nu_d=arith.valuation(p, d)
-                )
+                culprit = entry
                 break
-        yield d, certificate
+        yield d, culprit
+
+
+def _prime_certificate(culprit, d: int) -> PrimeCertificate | None:
+    if culprit is None:
+        return None
+    p, nu_n = culprit[0], culprit[1]
+    return PrimeCertificate(p=p, nu_n=nu_n, nu_d=arith.valuation(p, d))
 
 
 def midy_check_ppl2(
@@ -153,9 +163,11 @@ def midy_check_ppl2(
     """
     profile = modulus_profile(b, N, n_factors=n_factors)
     _check_args(d, profile.order)
-    [(_, certificate)] = _ppl2_verdicts(profile, (d,))
+    [(_, culprit)] = _ppl2_verdicts(profile, (d,))
     return MidyVerdict(
-        holds=certificate is None, method="ppl2", certificate=certificate
+        holds=culprit is None,
+        method="ppl2",
+        certificate=_prime_certificate(culprit, d),
     )
 
 
@@ -175,7 +187,7 @@ def midy_check_ppl3(
     profile = modulus_profile(b, N, n_factors=n_factors)
     L = profile.order
     k = _check_args(d, L)
-    order_primes = arith.factor(L).primes()
+    order_primes = profile.order_factors.primes()
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
@@ -213,7 +225,7 @@ def midy_set(
 ) -> MidySet:
     """Enumerate every block count d > 1 of the order with the property."""
     profile = modulus_profile(b, N, n_factors=n_factors)
-    members = tuple(d for d, cert in _ppl2_verdicts(profile) if cert is None)
+    members = tuple(d for d, culprit in _ppl2_verdicts(profile) if culprit is None)
     return MidySet(base=b, modulus=N, order=profile.order, members=members)
 
 
@@ -237,7 +249,7 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
                 f"not exceeding its exponent in {d}"
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
-    [(_, certificate)] = _ppl2_verdicts(profile, (d,))
+    [(_, culprit)] = _ppl2_verdicts(profile, (d,))
     d_primes = arith.factor(d).primes()
     stmt_exists = all(
         any(
@@ -246,4 +258,4 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
         )
         for _, _, _, ord_p in profile.per_prime
     )
-    return stmt_gcd, certificate is None, stmt_exists
+    return stmt_gcd, culprit is None, stmt_exists

@@ -7,17 +7,25 @@ powers of 2 do not follow that rule and are computed by a direct doubling
 scan instead.
 
 modulus_profile gathers everything the deciders read about one modulus
-(its factorization, the order, and the orders at each prime and prime
-power) in a single pass, so that deciding many block counts for the same
-N computes none of it twice.  order_mod is the order field of that
-profile, so there is one route to a modulus's order data.
+(its factorization, the order and the order's factorization, and the
+orders at each prime and prime power) in a single pass, so that deciding
+many block counts for the same N computes none of it twice.  The order's
+factorization is assembled from the factorizations of the orders mod p,
+which come out of stripping p - 1, so the order itself is never factored.
+order_mod is the order field of that profile, so there is one route to a
+modulus's order data.
+
+Primality is checked once, where a factorization enters: modulus_profile
+tests each prime of a caller's n_factors, and trusts the ones
+arith.factor found.  _profile, the builder behind it, trusts its factors
+and is also what the CLI scan calls with the factors of its chunk sieve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import arith
 from .errors import DomainError, PreconditionError
@@ -32,12 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
+class ModulusProfile(NamedTuple):
     """Order data of base modulo modulus, computed once per modulus.
 
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
-    factors, in ascending order of p; order is their lcm.
+    factors, in ascending order of p; order is their lcm.  A named tuple,
+    because every decider and scan row builds one and a frozen dataclass
+    costs about three times as much to construct.
     """
 
     base: int
@@ -46,27 +55,55 @@ class ModulusProfile:
     order: int
     per_prime: tuple[tuple[int, int, int, int], ...]
 
+    @property
+    def order_factors(self) -> arith.Factorization:
+        """The order's factorization, read off the orders at each prime.
 
-def _factorization(
-    N: int, n_factors: arith.Factorization | None
-) -> arith.Factorization:
-    # A supplied factorization is trusted only after it multiplies back to N.
-    if n_factors is None:
-        return arith.factor(N)
-    if n_factors.value != N:
-        raise DomainError(f"n_factors multiply to {n_factors.value}, not {N}")
-    return n_factors
+        The order mod p comes with its factorization (a cache hit for the
+        primes of a profile just built), p enters the order mod p**t only
+        by lifting, since the order mod p divides p - 1, and the lcm takes
+        each prime's largest exponent.  Computed on each read, because
+        order_mod, ppl2 on one d, the product criterion and the
+        progression never read it.
+        """
+        exponents: dict[int, int] = {}
+        for p, _, opt, op in self.per_prime:
+            # Each p is new to exponents when its turn comes: the order
+            # at a smaller prime p' has no prime factor above p'.
+            if p == 2:
+                if opt > 1:
+                    exponents[2] = opt.bit_length() - 1
+                continue
+            pairs = iter(_order_mod_prime(self.base % p, p))
+            next(pairs)
+            for q, e in zip(pairs, pairs):
+                if e > exponents.get(q, 0):
+                    exponents[q] = e
+            if opt != op:
+                exponents[p] = arith.valuation(p, opt)
+        return arith.Factorization(tuple(sorted(exponents.items())))
 
 
 @lru_cache(maxsize=1 << 16)
-def _order_mod_prime(b: int, p: int) -> int:
-    # b already reduced mod p, p prime, b != 0.  Start from the group
-    # exponent p - 1 and strip prime factors while the power stays 1.
+def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
+    """(order, q1, e1, q2, e2, ...): the order of b mod p, then its
+    factorization, q ascending.
+
+    b already reduced mod p, p prime, b != 0.  Starts from the group
+    exponent p - 1 and strips prime factors while the power stays 1; the
+    exponents left over are the order's factorization.  The cache keeps
+    one flat tuple per prime, well under half the memory of a tuple of
+    (q, e) pairs.
+    """
     order = p - 1
-    for q, _ in arith.factor(p - 1):
-        while order % q == 0 and pow(b, order // q, p) == 1:
+    kept = []
+    for q, e in arith.factor(p - 1):
+        while e and pow(b, order // q, p) == 1:
             order //= q
-    return order
+            e -= 1
+        if e:
+            kept += (q, e)
+    return (order, *kept)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -82,7 +119,7 @@ def lift_valuation(b: int, p: int) -> int:
         raise DomainError(f"{p} is not prime")
     if b % p == 0:
         raise PreconditionError(f"base {b} is divisible by {p}")
-    op = _order_mod_prime(b % p, p)
+    op = _order_mod_prime(b % p, p)[0]
     e = 1
     while pow(b, op, p ** (e + 1)) == 1:
         e += 1
@@ -102,6 +139,24 @@ def _order_mod_two_power(b: int, t: int) -> int:
     raise PreconditionError("base must be odd for orders modulo powers of 2")
 
 
+def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
+    """(order mod p**t, order mod p); trusts that p is prime, not dividing b.
+
+    Odd p uses the lifting rule from the order modulo p; p = 2 is routed
+    to the direct doubling scan.
+    """
+    if p == 2:
+        return _order_mod_two_power(b, t), 1
+    op = _order_mod_prime(b % p, p)[0]
+    if t == 1 or pow(b, op, p**t) == 1:
+        return op, op
+    # t > m; find the exact m < t by raising the power of p.
+    m = 1
+    while pow(b, op, p ** (m + 1)) == 1:
+        m += 1
+    return p ** (t - m) * op, op
+
+
 def order_prime_power(b: int, p: int, t: int) -> int:
     """Order of b modulo p**t for prime p not dividing b.
 
@@ -114,16 +169,19 @@ def order_prime_power(b: int, p: int, t: int) -> int:
         raise DomainError(f"{p} is not prime")
     if b % p == 0:
         raise PreconditionError(f"base {b} is divisible by {p}")
-    if p == 2:
-        return _order_mod_two_power(b, t)
-    op = _order_mod_prime(b % p, p)
-    if t == 1 or pow(b, op, p**t) == 1:
-        return op
-    # t > m; find the exact m < t by raising the power of p.
-    m = 1
-    while pow(b, op, p ** (m + 1)) == 1:
-        m += 1
-    return p ** (t - m) * op
+    return _orders_at(b, p, t)[0]
+
+
+def _profile(b: int, N: int, factors: arith.Factorization) -> ModulusProfile:
+    """modulus_profile without its checks: factors must be N's factorization
+    into primes, and gcd(b, N) must be 1."""
+    per_prime = []
+    order = 1
+    for p, t in factors:
+        opt, op = _orders_at(b, p, t)
+        per_prime.append((p, t, opt, op))
+        order = math.lcm(order, opt)
+    return ModulusProfile(b, N, factors, order, tuple(per_prime))
 
 
 def modulus_profile(
@@ -131,24 +189,24 @@ def modulus_profile(
 ) -> ModulusProfile:
     """Factorization of N and the orders of b at N, its primes and prime powers.
 
-    One order_prime_power per prime power of N; the order mod p is the
-    cached value that call already computed.  n_factors may supply a
-    factorization of N; DomainError if it does not multiply back to N.
+    One prime-power order per prime power of N; the order mod p is the
+    cached value that computation starts from.  n_factors may supply a
+    factorization of N; DomainError if it does not multiply back to N or
+    lists a number that is not prime.  A factorization made here by
+    arith.factor is not tested again.
     """
     if N < 1:
         raise DomainError("modulus must be >= 1")
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
-    factors = _factorization(N, n_factors)
-    per_prime = []
-    order = 1
-    for p, t in factors:
-        opt = order_prime_power(b, p, t)
-        per_prime.append((p, t, opt, _order_mod_prime(b % p, p)))
-        order = order * opt // math.gcd(order, opt)
-    return ModulusProfile(
-        base=b, modulus=N, factors=factors, order=order, per_prime=tuple(per_prime)
-    )
+    if n_factors is None:
+        return _profile(b, N, arith.factor(N))
+    if n_factors.value != N:
+        raise DomainError(f"n_factors multiply to {n_factors.value}, not {N}")
+    for p, _ in n_factors:
+        if not arith.is_prime(p):
+            raise DomainError(f"{p} is not prime")
+    return _profile(b, N, n_factors)
 
 
 def order_mod(

@@ -196,7 +196,7 @@ def _next_prime_in_progression(b: int, modulus: int, last: int, bound: int) -> i
         P = j * modulus + 1
         if math.gcd(P, b) != 1 or not arith.is_prime(P):
             continue
-        if _order_mod_prime(b % P, P) % modulus == 0:
+        if _order_mod_prime(b % P, P)[0] % modulus == 0:
             return P
     raise BoundedSearchError(
         f"no prime congruent to 1 mod {modulus} with the property for base {b} "

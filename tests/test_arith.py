@@ -1,6 +1,7 @@
 """Integer kernel tests against brute-force oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -201,3 +202,36 @@ class TestFactor:
         f = arith.factor(n)
         assert f.value == n
         assert all(arith.is_prime(p) for p, _ in f)
+
+
+class TestFactorRange:
+    """One sieve per window gives what factor gives for each n."""
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (1, 3000),
+            (2, 50001),
+            (10**12 - 500, 10**12 + 500),
+            (10**18 - 500, 10**18 + 500),
+            # isqrt(hi - 1) on either side of the largest sieving prime
+            (997**2 - 300, 997**2 + 300),
+            (1009**2 - 300, 1009**2 + 300),
+        ],
+    )
+    def test_matches_factor(self, lo, hi):
+        assert arith.factor_range(lo, hi) == [arith.factor(n) for n in range(lo, hi)]
+
+    def test_random_windows(self):
+        rng = random.Random(20)
+        for _ in range(20):
+            lo = rng.randrange(1, 10**15)
+            hi = lo + rng.randrange(1, 100)
+            got = arith.factor_range(lo, hi)
+            assert got == [arith.factor(n) for n in range(lo, hi)], (lo, hi)
+
+    def test_empty_and_bad_windows(self):
+        assert arith.factor_range(5, 5) == []
+        assert arith.factor_range(1, 2) == [arith.factor(1)]
+        with pytest.raises(DomainError):
+            arith.factor_range(0, 10)

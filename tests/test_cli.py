@@ -5,7 +5,10 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -341,6 +344,31 @@ class TestScanStreaming:
         assert len(writes) == 12  # one per chunk
         assert decided == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
         assert writes[0][0] < decided
+
+
+class TestScanBrokenPipe:
+    def test_reader_going_away_ends_quietly(self, tmp_path):
+        # scan | head: the reader closes the pipe long before the range
+        # ends.  The scan must stop with exit code 1, not a traceback.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "midylab.cli", "scan", "--base", "10",
+                "--from", "2", "--to", str(10**30), "--jobs", "2"]
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+            try:
+                head = proc.stdout.read(60)
+                proc.stdout.close()
+                closed = time.monotonic()
+                code = proc.wait(timeout=20)
+                waited = time.monotonic() - closed
+            finally:
+                proc.kill()
+                proc.wait()
+        assert head.startswith(b"n,base,order,midy_set\n3,10,1,\n")
+        assert "Traceback" not in (tmp_path / "stderr").read_text()
+        assert code == 1
+        assert waited < 5
 
 
 class TestCertificateJson:

@@ -8,6 +8,7 @@ from midylab import arith
 from midylab.errors import (
     DomainError,
     HypothesisNotApplicableError,
+    MidylabError,
     PreconditionError,
 )
 from midylab.expansion import midy_direct
@@ -75,6 +76,30 @@ class TestMismatchedFactorization:
         assert midy_check_ppl3(10, 21, 3, n_factors=nf).holds is True
 
 
+class TestErrorTypes:
+    def test_deciders_raise_alike(self):
+        # The oracle takes its order from order_mod, so N < 1 is a
+        # DomainError and a shared factor a PreconditionError everywhere.
+        def raised(fn, *args):
+            try:
+                fn(*args)
+            except MidylabError as exc:
+                return type(exc)
+            return None
+
+        checks = (midy_check_direct, midy_check_ppl2, midy_check_ppl3)
+        for b in (1, 2, 3, 10):
+            for n in range(-6, 40):
+                whole = raised(midy_set, b, n)
+                # A d that is valid whenever the order exists, so only
+                # (b, n) can be at fault; an order of 1 has no such d.
+                d = 2 if whole else max(2, midy_set(b, n).order)
+                kinds = {raised(check, b, n, d) for check in checks}
+                assert len(kinds) == 1, (b, n, kinds)
+                if whole:
+                    assert kinds == {whole}, (b, n, kinds)
+
+
 class TestPpl3:
     @pytest.mark.parametrize(
         "b,n,d,want",
@@ -109,7 +134,7 @@ class TestPpl3:
                     for p, nu_n in arith.factor(n):
                         if nu_n <= arith.valuation(p, d):
                             continue
-                        op = _order_mod_prime(b % p, p)
+                        op = _order_mod_prime(b % p, p)[0]
                         order_qs = {
                             q
                             for q in arith.factor(L).primes()

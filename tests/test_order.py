@@ -1,10 +1,12 @@
 """Multiplicative order tests: lifting rule vs naive successive powers."""
 
+import io
 import math
+import sys
 
 import pytest
 
-from midylab import arith
+from midylab import arith, cli
 from midylab.errors import DomainError, PreconditionError
 from midylab.jenkins import jenkins_check_gcd, jenkins_instance
 from midylab.midy import midy_check_ppl3
@@ -227,7 +229,56 @@ class TestOneFactorization:
         assert trace.primes == (7, 19, 109, 487, 2917)
         assert not candidates & set(factored)
 
+    def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
+        # The chunk sieve factors each row's n, and L's factorization is
+        # carried in the profile: factor only sees p - 1, once per prime
+        # on a cold order cache, and nothing tests a prime again.
+        tested = []
+        real = arith.is_prime
+
+        def counting(n):
+            tested.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        _order_mod_prime.cache_clear()
+        assert cli.main(["scan", "--base", "10", "--from", "2", "--to", "20000"]) == 0
+        monkeypatch.undo()
+        primes = [p for p in range(3, 20001) if p != 5 and real(p)]
+        assert sorted(factored) == [p - 1 for p in primes]
+        assert tested == []
+
     def test_jenkins_gcd_route_reads_the_instance(self, factored):
         inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
         jenkins_check_gcd(inst)
         assert inst.modulus not in factored
+
+
+class TestOrderFactorization:
+    """The profile carries L's factorization, built from the orders mod p."""
+
+    def test_matches_factoring_the_order(self):
+        for b in range(2, 63):
+            for n in range(1, 2000):
+                if math.gcd(b, n) == 1:
+                    prof = modulus_profile(b, n)
+                    assert prof.order_factors == arith.factor(prof.order), (b, n)
+
+    def test_semiprimes_near_1e18(self):
+        # Two primes near 10**9 each; 1000000006 = 2 * 500000003 leaves a
+        # cofactor of p - 1 past the small-prime table.
+        for p, q in [(999999937, 1000000007), (1000000009, 1000000021)]:
+            for b in (2, 3, 10, 61):
+                prof = modulus_profile(b, p * q)
+                L = prof.order
+                assert prof.order_factors == arith.factor(L)
+                # L is the order: b**L is 1 and no L / r is.
+                assert pow(b, L, p * q) == 1
+                primes = prof.order_factors.primes()
+                assert all(pow(b, L // r, p * q) != 1 for r in primes)
+
+    def test_supplied_composite_never_trusted(self):
+        # 21 is not prime: the profile must refuse it, not lift by it.
+        with pytest.raises(DomainError):
+            modulus_profile(10, 21, n_factors=arith.Factorization(((21, 1),)))
