@@ -161,7 +161,7 @@ def midy_direct(b: int, N: int, d: int) -> bool:
     The order comes from order_mod, so a bad N or b raises what the
     structural deciders raise.
     """
-    holds, _= _direct_scan(b, N, d, find_min=False)
+    holds, _ = _direct_scan(b, N, d, find_min=False)
     return holds
 
 

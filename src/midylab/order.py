@@ -7,11 +7,11 @@ powers of 2 do not follow that rule and are computed by a direct doubling
 scan instead.
 
 modulus_profile gathers everything the deciders read about one modulus
-(its factorization, the order and the order's factorization, and the
-orders at each prime and prime power) in a single pass, so that deciding
-many block counts for the same N computes none of it twice.  The order's
-factorization is assembled from the factorizations of the orders mod p,
-which come out of stripping p - 1, so the order itself is never factored.
+(its factorization, the order, and the orders at each prime and prime
+power) in a single pass, so that deciding many block counts for the same
+N computes none of it twice.  The order mod p comes out of stripping
+primes off p - 1, which leaves its factorization too, and the profile's
+order_factors merges those, so the order itself is never factored.
 order_mod is the order field of that profile, so there is one route to a
 modulus's order data.
 
@@ -140,11 +140,7 @@ def _order_mod_two_power(b: int, t: int) -> int:
 
 
 def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
-    """(order mod p**t, order mod p); trusts that p is prime, not dividing b.
-
-    Odd p uses the lifting rule from the order modulo p; p = 2 is routed
-    to the direct doubling scan.
-    """
+    """(order mod p**t, order mod p): order_prime_power without its checks."""
     if p == 2:
         return _order_mod_two_power(b, t), 1
     op = _order_mod_prime(b % p, p)[0]
