@@ -398,6 +398,7 @@ def main(argv=None) -> int:
         # shut down on the way out of _cmd_scan.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_DOMAIN
     except BoundedSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
