@@ -231,8 +231,8 @@ class TestOneFactorization:
 
     def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
         # The chunk sieve factors each row's n, and L's factorization is
-        # carried in the profile: factor only sees p - 1, once per prime
-        # on a cold order cache, and nothing tests a prime again.
+        # read off the profile: factor only sees p - 1, once per prime on
+        # a cold order cache, and nothing tests a prime again.
         tested = []
         real = arith.is_prime
 
@@ -256,7 +256,7 @@ class TestOneFactorization:
 
 
 class TestOrderFactorization:
-    """The profile carries L's factorization, built from the orders mod p."""
+    """The profile reads L's factorization off the orders mod p."""
 
     def test_matches_factoring_the_order(self):
         for b in range(2, 63):
