@@ -92,6 +92,9 @@ _EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 _SMALL_PRIME_LIMIT = 1000
 
+# is_prime divides these out before Miller-Rabin.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * limit
@@ -140,7 +143,7 @@ def is_prime(n: int) -> bool:
         return False
     if n < _SMALL_PRIME_LIMIT:
         return n in _SMALL_PRIME_SET
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return False
     if n < MILLER_RABIN_PROVEN_BOUND:
@@ -208,10 +211,6 @@ class Factorization:
                 divs += block
         divs.sort()
         return divs
-
-    def verify(self, n: int) -> bool:
-        """Check product identity and primality of every listed base."""
-        return self.value == n and all(is_prime(p) for p, _ in self.factors)
 
 
 def _rho_brent(n: int) -> int:
@@ -289,6 +288,12 @@ def factor_range(lo: int, hi: int) -> list[Factorization]:
     square root, so it is prime when it is below 10**6, factor's own
     rule; only a larger one goes on to factor's primality test and rho.
     """
+    return [Factorization(tuple(factors)) for factors in _factor_lists(lo, hi)]
+
+
+def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """factor_range as plain lists of (p, e), for callers that wrap only
+    the rows they keep."""
     if lo < 1:
         raise DomainError("factor_range requires lo >= 1")
     rest = list(range(lo, hi))
@@ -315,4 +320,4 @@ def factor_range(lo: int, hi: int) -> list[Factorization]:
             big: dict[int, int] = {}
             _factor_into(m, big)
             factors.extend(sorted(big.items()))
-    return [Factorization(tuple(factors)) for factors in found]
+    return found

@@ -246,8 +246,8 @@ def _scan_text(task) -> str:
     b, lo, hi, fmt = task
     # _scan_row is looked up at call time, so a rebinding sees every row.
     return "".join(
-        _scan_row(b, n, factors, fmt)
-        for n, factors in zip(range(lo, hi), arith.factor_range(lo, hi))
+        _scan_row(b, n, Factorization(tuple(factors)), fmt)
+        for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi))
         if math.gcd(n, b) == 1
     )
 

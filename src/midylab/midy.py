@@ -126,16 +126,26 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
     must divide the order.  culprit is None exactly when d has the
     property, else the per_prime entry (p, nu_p(N), ...) of the first
     prime of N that breaks it, for _prime_certificate.
+
+    A prime p can break d only when ord_p divides k = L/d, that is when
+    d divides M = L/ord_p, so a prime with M == 1 is dropped up front.
+    At odd p, d then breaks exactly when p**nu_p(N) does not divide it,
+    since the allowance there is nu_p(d); p = 2 keeps _allowance.
     """
     b, L = profile.base, profile.order
     if divisors is None:
         divisors = profile.order_factors.divisors()[1:]
+    tests = []
+    for entry in profile.per_prime:
+        p, nu_n, _, ord_p = entry
+        if ord_p != L:
+            tests.append((entry, L // ord_p, None if p == 2 else p**nu_n))
     for d in divisors:
-        k = L // d
         culprit = None
-        for entry in profile.per_prime:
-            p, nu_n, _, ord_p = entry
-            if k % ord_p == 0 and nu_n > _allowance(p, b, k, d):
+        for entry, M, pt in tests:
+            if M % d == 0 and (
+                d % pt if pt else entry[1] > _allowance(2, b, L // d, d)
+            ):
                 culprit = entry
                 break
         yield d, culprit

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith
+from .arith import _SMALL_PRIME_LIMIT, _TRIAL_PRIMES
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
 from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
@@ -186,17 +187,51 @@ def smallest_midy_witness(
     )
 
 
-def _next_prime_in_progression(b: int, modulus: int, last: int, bound: int) -> int:
+def _pocklington_step(b: int, q: int, P: int) -> bool | None:
+    """Decide P = j * q**s + 1 with the base as Pocklington witness.
+
+    gcd(b, P) must be 1.  With F = q**nu_q(P - 1) and x = b**((P-1)/q)
+    mod P: if x**q != 1, b**(P-1) != 1 and P is composite (False).  If
+    x != 1, F * F > P and gcd(x - 1, P) == 1, every prime r of P has
+    r == 1 (mod F), so r > sqrt(P) and P is prime; and F, all of the
+    q-part of P - 1, divides the order of b mod P (True).  Anything else
+    is left undecided (None).  With F * F > P and b**(P-1) == 1, x != 1
+    and the gcd condition imply each other for a single q; both are
+    kept, as the textbook certificate.
+    """
+    x = pow(b, (P - 1) // q, P)
+    if pow(x, q, P) != 1:
+        return False
+    F = q
+    while (P - 1) % (F * q) == 0:
+        F *= q
+    if x != 1 and F * F > P and math.gcd(x - 1, P) == 1:
+        return True
+    return None
+
+
+def _next_prime_in_progression(
+    b: int, q: int, modulus: int, last: int, bound: int
+) -> int:
     """Smallest prime P == 1 (mod modulus) whose property set has modulus.
 
-    Scans P = j * modulus + 1 for j = 1..last.  A prime has the property
-    for every d > 1 dividing its order, so only its order is computed.
+    Scans P = j * modulus + 1 for j = 1..last; modulus is a power of the
+    prime q.  A prime has the property for every d > 1 dividing its
+    order, so only the order matters.  Past the small primes, P must be
+    free of is_prime's trial primes, and then the base proves most
+    candidates prime or composite by _pocklington_step; the undecided
+    ones, and the small primes, take is_prime and the order mod P.
     """
+    coprime_to = b * math.prod(_TRIAL_PRIMES)
     for j in range(1, last + 1):
         P = j * modulus + 1
-        if math.gcd(P, b) != 1 or not arith.is_prime(P):
+        small = P < _SMALL_PRIME_LIMIT
+        if math.gcd(P, b if small else coprime_to) != 1:
             continue
-        if _order_mod_prime(b % P, P)[0] % modulus == 0:
+        found = None if small else _pocklington_step(b, q, P)
+        if found is None:
+            found = arith.is_prime(P) and _order_mod_prime(b % P, P)[0] % modulus == 0
+        if found:
             return P
     raise BoundedSearchError(
         f"no prime congruent to 1 mod {modulus} with the property for base {b} "
@@ -219,11 +254,12 @@ def prime_progression(
         raise PreconditionError("count must be >= 1")
     _check_search_args(b, q, v)
     step = q**v
-    first = _next_prime_in_progression(b, step, (bound - 1) // step, bound)
+    first = _next_prime_in_progression(b, q, step, (bound - 1) // step, bound)
     steps = [(step, first)]
     while len(steps) < count:
         modulus, prev = steps[-1]
         while modulus <= prev:
             modulus *= step
-        steps.append((modulus, _next_prime_in_progression(b, modulus, bound, bound)))
+        prime = _next_prime_in_progression(b, q, modulus, bound, bound)
+        steps.append((modulus, prime))
     return ProgressionTrace(base=b, q=q, v=v, steps=tuple(steps))

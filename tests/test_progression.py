@@ -9,6 +9,8 @@ from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.midy import midy_check_direct, midy_check_ppl2
 from midylab.order import order_mod
 from midylab.progression import (
+    _next_prime_in_progression,
+    _pocklington_step,
     midy_prime_v1_check,
     prime_power_midy_structure,
     prime_power_structure,
@@ -191,3 +193,88 @@ class TestProgression:
     def test_count_validation(self):
         with pytest.raises(PreconditionError):
             prime_progression(10, 3, 1, 0)
+
+
+def _q_part(q, n):
+    """q**nu_q(n)."""
+    F = 1
+    while n % (F * q) == 0:
+        F *= q
+    return F
+
+
+class TestPocklingtonStep:
+    def test_proven_steps_check_out_with_pow_and_gcd(self):
+        proven = past_bound = 0
+        for b, q, v, count in [(10, 3, 1, 40), (60, 5, 1, 30), (3, 2, 1, 30)]:
+            for _, P in prime_progression(b, q, v, count).steps:
+                if P < 1000 or not _pocklington_step(b, q, P):
+                    continue
+                # Pocklington with the base as witness and F = the q-part
+                # of P - 1: b**(P-1) == 1, gcd(b**((P-1)/q) - 1, P) == 1
+                # and F * F > P make every prime of P exceed sqrt(P).
+                x = pow(b, (P - 1) // q, P)
+                F = _q_part(q, P - 1)
+                assert pow(b, P - 1, P) == 1
+                assert x != 1 and math.gcd(x - 1, P) == 1
+                assert F * F > P
+                proven += 1
+                past_bound += P >= arith.MILLER_RABIN_PROVEN_BOUND
+        assert proven >= 60 and past_bound >= 30
+
+    def test_fermat_pseudoprime_with_x_one_is_undecided(self):
+        # 1729 = 7 * 13 * 19: 2**864 == 1 (mod 1729), so x == 1
+        assert pow(2, 1728 // 2, 1729) == 1
+        assert _pocklington_step(2, 2, 1729) is None
+
+    def test_small_q_part_is_not_a_proof(self):
+        # 1027 = 13 * 79 passes Fermat to base 56 with gcd(x - 1, P) == 1,
+        # but F = 2 and F * F <= P, so nothing is proven
+        x = pow(56, 1026 // 2, 1027)
+        assert pow(56, 1026, 1027) == 1 and math.gcd(x - 1, 1027) == 1
+        assert _pocklington_step(56, 2, 1027) is None
+
+    def test_fermat_failure_is_composite(self):
+        # 1003 = 17 * 59; 2**1002 != 1 (mod 1003)
+        assert pow(2, 1002, 1003) != 1
+        assert _pocklington_step(2, 2, 1003) is False
+
+    def test_verdicts_are_sound(self):
+        # True only for a prime whose order carries all of the q-part of
+        # P - 1, False only for a composite
+        for q in (2, 3, 5):
+            for P in range(1001 - 1000 % q, 20000, q):
+                F = _q_part(q, P - 1)
+                for b in (2, 3, 10, 56):
+                    if math.gcd(b, P) != 1:
+                        continue
+                    verdict = _pocklington_step(b, q, P)
+                    if verdict is False:
+                        assert not arith.is_prime(P), (b, q, P)
+                    elif verdict:
+                        assert arith.is_prime(P), (b, q, P)
+                        assert order_mod(b, P) % F == 0, (b, q, P)
+
+    def test_matches_reference_scan(self):
+        def reference(b, modulus, last):
+            for j in range(1, last + 1):
+                P = j * modulus + 1
+                if math.gcd(P, b) != 1 or not arith.is_prime(P):
+                    continue
+                if order_mod(b, P) % modulus == 0:
+                    return P
+            return None
+
+        last = 400
+        for q, modulus in [(2, 2**10), (3, 3**7), (5, 5**5), (13, 13**3)]:
+            for b in range(2, 63):
+                try:
+                    got = _next_prime_in_progression(b, q, modulus, last, last)
+                except BoundedSearchError:
+                    got = None
+                assert got == reference(b, modulus, last), (b, q, modulus)
+        # every step of a progression is the reference scan's first hit
+        for q, v in [(2, 1), (3, 1), (5, 1), (7, 2)]:
+            for b in range(2, 63):
+                for modulus, P in prime_progression(b, q, v, 8).steps:
+                    assert reference(b, modulus, P // modulus) == P, (b, q, v)
