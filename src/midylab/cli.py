@@ -223,22 +223,24 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
     if fmt != "json":
         members = ";".join(str(d) for d, culprit in verdicts if culprit is None)
         return f"{n},{b},{profile.order},{members}\n"
+    # Every value is an int, which json writes as its repr, so these
+    # f-strings are the bytes _json would make of the row, without a
+    # PrimeCertificate, a dict or an encoder call per excluded divisor.
     members = []
     excluded = []
     for d, culprit in verdicts:
         if culprit is None:
-            members.append(d)
+            members.append(str(d))
         else:
-            cert = midy._prime_certificate(culprit, d)
-            excluded.append({"d": d, "certificate": _certificate_json(cert)})
-    row = {
-        "n": n,
-        "base": b,
-        "order": profile.order,
-        "midy_set": members,
-        "excluded": excluded,
-    }
-    return _json(row) + "\n"
+            p = culprit[0]
+            excluded.append(
+                f'{{"d":{d},"certificate":{{"p":{p},"nu_n":{culprit[1]},'
+                f'"nu_d":{arith.valuation(p, d)}}}}}'
+            )
+    return (
+        f'{{"n":{n},"base":{b},"order":{profile.order},'
+        f'"midy_set":[{",".join(members)}],"excluded":[{",".join(excluded)}]}}\n'
+    )
 
 
 def _scan_text(task) -> str:

@@ -12,9 +12,10 @@ once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
 The divisors of L come from the profile's order factorization, so L is
 never factored either.  midy_set, midy_check_ppl2 and the CLI scan share
-that route, and only the callers that report a failure turn its culprit
-prime into a PrimeCertificate; the cross-check reads the same profile
-but decides by its own rule.  A supplied n_factors is checked against N
+that route.  midy_check_ppl2 turns a failure's culprit prime into a
+PrimeCertificate; the scan's JSON rows render the same fields from the
+culprit without one.  The cross-check reads the same profile but decides
+by its own rule.  A supplied n_factors is checked against N
 (DomainError if it does not multiply back to N or lists a non-prime).
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too

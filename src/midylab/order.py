@@ -119,11 +119,15 @@ def lift_valuation(b: int, p: int) -> int:
         raise DomainError(f"{p} is not prime")
     if b % p == 0:
         raise PreconditionError(f"base {b} is divisible by {p}")
-    op = _order_mod_prime(b % p, p)[0]
-    e = 1
-    while pow(b, op, p ** (e + 1)) == 1:
-        e += 1
-    return e
+    return _lift_exponent(b, p, _order_mod_prime(b % p, p)[0])
+
+
+def _lift_exponent(b: int, p: int, op: int) -> int:
+    """Largest m with b**op == 1 (mod p**m), op the order of b mod p."""
+    m = 1
+    while pow(b, op, p ** (m + 1)) == 1:
+        m += 1
+    return m
 
 
 def _order_mod_two_power(b: int, t: int) -> int:
@@ -146,11 +150,8 @@ def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
     op = _order_mod_prime(b % p, p)[0]
     if t == 1 or pow(b, op, p**t) == 1:
         return op, op
-    # t > m; find the exact m < t by raising the power of p.
-    m = 1
-    while pow(b, op, p ** (m + 1)) == 1:
-        m += 1
-    return p ** (t - m) * op, op
+    # t > m, so the order mod p**t picks up p**(t - m).
+    return p ** (t - _lift_exponent(b, p, op)) * op, op
 
 
 def order_prime_power(b: int, p: int, t: int) -> int:

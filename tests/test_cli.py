@@ -13,7 +13,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from midylab import cli, midy
+from midylab import arith, cli, midy
 from midylab.midy import GcdCertificate
 from midylab.order import order_mod
 
@@ -111,6 +111,22 @@ class TestMidyCheckCommand:
     def test_precondition_exit(self):
         code, _ = run_cli(["midy-check", "--base", "10", "13", "4"])
         assert code == 1
+
+    def test_direct_oracle_refuses_a_huge_modulus(self):
+        # order_mod on N = 10**9 + 7 takes milliseconds, but the oracle
+        # would allocate two N-byte arrays and walk every x < N.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "midylab.cli", "midy-check", "--method",
+                "direct", "--base", "10", "1000000007", "2"]
+        start = time.monotonic()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1
 
 
 class TestMidySetCommand:
@@ -389,6 +405,60 @@ class TestCertificateJson:
 
     def test_none(self):
         assert cli._certificate_json(None) is None
+
+
+def reference_json_row(b, n):
+    """A scan's JSON line for n, built through the public deciders and the
+    json encoder rather than the scan's own renderer."""
+    result = midy.midy_set(b, n)
+    divisors = arith.factor(result.order).divisors()[1:]
+    excluded = [
+        {
+            "d": d,
+            "certificate": dataclasses.asdict(midy.midy_check_ppl2(b, n, d).certificate),
+        }
+        for d in divisors
+        if d not in result.members
+    ]
+    row = {
+        "n": n,
+        "base": b,
+        "order": result.order,
+        "midy_set": list(result.members),
+        "excluded": excluded,
+    }
+    return json.JSONEncoder(separators=(",", ":")).encode(row) + "\n"
+
+
+class TestScanRowJson:
+    """cli._scan_row renders JSON rows as text; each must be the line the
+    json encoder makes of the same facts."""
+
+    def assert_rows_match(self, b, ns):
+        """Compare the rows of ns in base b; returns the scan's lines."""
+        rows = []
+        for n in ns:
+            rows.append(cli._scan_row(b, n, arith.factor(n), "json"))
+            assert rows[-1] == reference_json_row(b, n), (b, n)
+        return rows
+
+    def test_base_three_even_moduli(self):
+        rows = self.assert_rows_match(3, [n for n in range(1, 301) if n % 3])
+        # The even N carry the p = 2 certificates of the 2-adic allowance.
+        assert any('"p":2,' in row for row in rows)
+
+    def test_base_seven_near_10_to_12(self):
+        self.assert_rows_match(7, [10**12 + i for i in (1, 2, 3, 4, 8)])
+
+    def test_no_excluded_divisor(self):
+        assert midy.midy_set(10, 13).members == (2, 3, 6)
+        [row] = self.assert_rows_match(10, [13])
+        assert row.endswith('"excluded":[]}\n')
+
+    def test_empty_midy_set(self):
+        for b, n in ((10, 27), (7, 10**12 + 2), (10, 3)):
+            assert midy.midy_set(b, n).members == ()
+            self.assert_rows_match(b, [n])
 
 
 class TestScanGolden:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midylab.errors import PreconditionError
+from midylab import expansion
+from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.expansion import (
     blocks_and_sum,
     midy_direct,
@@ -208,3 +209,19 @@ class TestMidyDirect:
 
     def test_holds_returns_none(self):
         assert smallest_failing_x(10, 13, 3) is None
+
+    def test_modulus_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(expansion, "DIRECT_ORACLE_LIMIT", 75)
+        assert smallest_failing_x(8, 75, 5) == 1  # N at the limit still runs
+        # The limit is checked after d and before any array is built.
+        with pytest.raises(PreconditionError):
+            midy_direct(10, 77, 1)
+
+        def no_allocation(N):
+            raise AssertionError("allocated past the limit")
+
+        monkeypatch.setattr(expansion, "_coprime_mask", no_allocation)
+        for decide in (midy_direct, smallest_failing_x):
+            with pytest.raises(BoundedSearchError) as info:
+                decide(10, 77, 2)
+            assert info.value.bound == 75
