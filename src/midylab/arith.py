@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BoundedSearchError, DomainError
 
 __all__ = [
     "Factorization",
@@ -27,6 +27,7 @@ __all__ = [
     "is_prime_proven",
     "MILLER_RABIN_PROVEN_BOUND",
     "pow_mod",
+    "RHO_STEP_LIMIT",
     "valuation",
 ]
 
@@ -213,16 +214,33 @@ class Factorization:
         return divs
 
 
+# Squaring steps Brent's rho may take on one number, over all its
+# increments, before factor gives up with BoundedSearchError.  Rho finds
+# a prime factor p in about sqrt(p) steps, so this reaches factors near
+# 10**11, eight times the largest need in the tests and the benchmark's
+# queries, and stops within a second on a 2-vCPU VM (Python 3.11).
+RHO_STEP_LIMIT = 2**20
+
+
 def _rho_brent(n: int) -> int:
     """Find a nontrivial factor of odd composite n.  Deterministic: the
-    polynomial increment is stepped through a fixed sequence."""
+    polynomial increment is stepped through a fixed sequence.  Each
+    doubling of r is charged its 2 * r squarings of y before it starts,
+    so those never pass RHO_STEP_LIMIT."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 1000):
         y, m = 2, 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEP_LIMIT:
+                raise BoundedSearchError(
+                    f"no factor of {n} found within {RHO_STEP_LIMIT} rho steps",
+                    RHO_STEP_LIMIT,
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

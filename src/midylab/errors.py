@@ -27,3 +27,8 @@ class BoundedSearchError(MidylabError, RuntimeError):
     def __init__(self, message: str, bound: int):
         super().__init__(message)
         self.bound = bound
+
+    def __reduce__(self):
+        # The default rebuilds from args alone, which lack bound, so the
+        # error could not cross from a pool worker to the parent.
+        return type(self), (self.args[0], self.bound)

@@ -8,6 +8,12 @@ order q**v divides admits q**v, and the smallest N admitting q**v is such
 a prime (except N = 4 for q**v = 2 in some odd bases).  That yields an
 endless supply of such primes: each found prime forces a larger q-power
 modulus, which forces a larger prime.
+
+A prime has the property for every d > 1 dividing its order, so each
+candidate P = j * q**s + 1 of a step is decided by whether q**s divides
+the order of b mod P.  That is one modular power, which also serves as a
+Fermat test and, mostly, as a Pocklington proof with the base as witness
+(_pocklington_step); is_prime decides the rest, and nothing is factored.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .arith import _SMALL_PRIME_LIMIT, _TRIAL_PRIMES
+from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
 from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
-from .order import _order_mod_prime
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -35,6 +40,10 @@ __all__ = [
 
 # Maximum number of candidates any single bounded search will examine.
 DEFAULT_SEARCH_BOUND = 10**7
+
+# The primes below 1000 that is_prime does not trial-divide by: one gcd
+# with their product rules out a candidate P >= 1000 with such a factor.
+_PRIMES_41_TO_997 = math.prod(p for p in _SMALL_PRIMES if p > _TRIAL_PRIMES[-1])
 
 
 @dataclass(frozen=True)
@@ -187,24 +196,33 @@ def smallest_midy_witness(
     )
 
 
-def _pocklington_step(b: int, q: int, P: int) -> bool | None:
-    """Decide P = j * q**s + 1 with the base as Pocklington witness.
+def _pocklington_step(b: int, q: int, modulus: int, P: int) -> bool | None:
+    """Decide whether P = j * modulus + 1 is the progression's answer.
 
-    gcd(b, P) must be 1.  With F = q**nu_q(P - 1) and x = b**((P-1)/q)
-    mod P: if x**q != 1, b**(P-1) != 1 and P is composite (False).  If
-    x != 1, F * F > P and gcd(x - 1, P) == 1, every prime r of P has
-    r == 1 (mod F), so r > sqrt(P) and P is prime; and F, all of the
-    q-part of P - 1, divides the order of b mod P (True).  Anything else
-    is left undecided (None).  With F * F > P and b**(P-1) == 1, x != 1
-    and the gcd condition imply each other for a single q; both are
-    kept, as the textbook certificate.
+    modulus is a power of the prime q and gcd(b, P) must be 1.  Let q**a
+    be the q-part of j, so F = q**a * modulus is the q-part of P - 1, and
+    z = b**((P-1)/q**(a+1)) mod P.  For a prime P the order of b divides
+    P - 1, so modulus divides it exactly when z != 1.  Hence z == 1 means
+    P is not the answer, prime or not (False).  With x = z**(q**a) =
+    b**((P-1)/q): if x**q != 1, b**(P-1) != 1 and P is composite (False).
+    If x != 1, F * F > P and gcd(x - 1, P) == 1, every prime r of P has
+    r == 1 (mod F), so r > sqrt(P) and P is prime (Pocklington, with the
+    base as witness), and z != 1 puts modulus in its order (True).
+    Otherwise P is the answer exactly when it is prime (None).  With
+    F * F > P and b**(P-1) == 1, x != 1 and the gcd condition imply each
+    other for a single q; both are kept, as the textbook certificate.
     """
-    x = pow(b, (P - 1) // q, P)
+    j = (P - 1) // modulus
+    F = modulus
+    while j % q == 0:
+        j //= q
+        F *= q
+    z = pow(b, j * (modulus // q), P)
+    if z == 1:
+        return False
+    x = pow(z, F // modulus, P)
     if pow(x, q, P) != 1:
         return False
-    F = q
-    while (P - 1) % (F * q) == 0:
-        F *= q
     if x != 1 and F * F > P and math.gcd(x - 1, P) == 1:
         return True
     return None
@@ -217,20 +235,24 @@ def _next_prime_in_progression(
 
     Scans P = j * modulus + 1 for j = 1..last; modulus is a power of the
     prime q.  A prime has the property for every d > 1 dividing its
-    order, so only the order matters.  Past the small primes, P must be
-    free of is_prime's trial primes, and then the base proves most
-    candidates prime or composite by _pocklington_step; the undecided
-    ones, and the small primes, take is_prime and the order mod P.
+    order, so only the order matters.  P must be coprime to b, and past
+    the small primes also free of every prime below 1000 (two gcds).
+    Each survivor costs one modular power in _pocklington_step, which
+    drops it when the order of b cannot carry modulus and otherwise
+    proves it composite, or prime with the property; is_prime decides
+    only what the base leaves open.  Nothing is factored.
     """
     coprime_to = b * math.prod(_TRIAL_PRIMES)
     for j in range(1, last + 1):
         P = j * modulus + 1
-        small = P < _SMALL_PRIME_LIMIT
-        if math.gcd(P, b if small else coprime_to) != 1:
+        if P < _SMALL_PRIME_LIMIT:
+            if math.gcd(P, b) != 1:
+                continue
+        elif math.gcd(P, coprime_to) != 1 or math.gcd(P, _PRIMES_41_TO_997) != 1:
             continue
-        found = None if small else _pocklington_step(b, q, P)
+        found = _pocklington_step(b, q, modulus, P)
         if found is None:
-            found = arith.is_prime(P) and _order_mod_prime(b % P, P)[0] % modulus == 0
+            found = arith.is_prime(P)
         if found:
             return P
     raise BoundedSearchError(

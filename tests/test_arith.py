@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midylab import arith
-from midylab.errors import DomainError
+from midylab.errors import BoundedSearchError, DomainError
 
 
 def gcd_brute(a: int, b: int) -> int:
@@ -201,6 +201,34 @@ class TestFactor:
         f = arith.factor(n)
         assert f.value == n
         assert all(arith.is_prime(p) for p, _ in f)
+
+
+class TestRhoBudget:
+    # 1000003 * 1000033 has no factor below 1000; Brent's rho splits it
+    # with r doubled up to 256, for 2 * (1 + 2 + ... + 256) = 1022 steps.
+    N = 1000003 * 1000033
+
+    def test_default_limit_leaves_room(self):
+        assert arith.RHO_STEP_LIMIT >= 2**20
+        assert arith.factor(self.N).factors == ((1000003, 1), (1000033, 1))
+
+    def test_exact_budget_is_enough(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1022)
+        assert arith.factor(self.N).factors == ((1000003, 1), (1000033, 1))
+
+    def test_one_step_short_raises(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1021)
+        with pytest.raises(BoundedSearchError) as info:
+            arith.factor(self.N)
+        assert info.value.bound == 1021
+        assert str(self.N) in str(info.value)
+
+    def test_small_factors_need_no_rho(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 0)
+        assert arith.factor(999999).value == 999999
+        assert arith.factor(997 * 1000003).factors == ((997, 1), (1000003, 1))
+        with pytest.raises(BoundedSearchError):
+            arith.factor(self.N)
 
 
 class TestFactorRange:

@@ -5,15 +5,18 @@ import functools
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
 from midylab import arith, cli, midy
+from midylab.errors import BoundedSearchError
 from midylab.midy import GcdCertificate
 from midylab.order import order_mod
 
@@ -30,6 +33,16 @@ def run_cli(argv):
     return code, captured.getvalue()
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter; returns (process, seconds)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "midylab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    return proc, time.monotonic() - start
+
+
 class TestOrderCommand:
     def test_known_value(self):
         code, out = run_cli(["order", "--base", "10", "13"])
@@ -44,6 +57,18 @@ class TestOrderCommand:
     def test_domain_error_exit_code(self):
         code, _ = run_cli(["order", "--base", "10", "14"])
         assert code == 1
+
+    def test_rho_budget_ends_a_balanced_semiprime(self):
+        # 10000000000000000051 * 30000000000000000041: rho would need about
+        # 10**10 steps, so factor stops at RHO_STEP_LIMIT instead.
+        proc, elapsed = run_cli_process(
+            ["order", "--base", "3", "300000000000000001940000000000000002091"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 2
 
 
 class TestExpandCommand:
@@ -115,13 +140,9 @@ class TestMidyCheckCommand:
     def test_direct_oracle_refuses_a_huge_modulus(self):
         # order_mod on N = 10**9 + 7 takes milliseconds, but the oracle
         # would allocate two N-byte arrays and walk every x < N.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        argv = [sys.executable, "-m", "midylab.cli", "midy-check", "--method",
-                "direct", "--base", "10", "1000000007", "2"]
-        start = time.monotonic()
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
-        elapsed = time.monotonic() - start
+        proc, elapsed = run_cli_process(
+            ["midy-check", "--method", "direct", "--base", "10", "1000000007", "2"]
+        )
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
@@ -360,6 +381,30 @@ class TestScanStreaming:
         assert len(writes) == 12  # one per chunk
         assert decided == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
         assert writes[0][0] < decided
+
+
+class TestScanBudget:
+    def test_bounded_search_error_pickles(self):
+        exc = pickle.loads(pickle.dumps(BoundedSearchError("out of budget", 5)))
+        assert type(exc) is BoundedSearchError
+        assert str(exc) == "out of budget"
+        assert exc.bound == 5
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rho_budget_in_a_scan_exits_3(self, monkeypatch, capsys, jobs):
+        # The first chunk near 10**12 has rows with two prime factors above
+        # 1000, which only rho splits.  At jobs 2 the error is raised in a
+        # pool worker, forked so that it inherits the patched limit, and
+        # has to reach the parent whole.
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        code, out = run_cli(["scan", "--base", "7", "--from", "1000000000001",
+                             "--to", "1000000000600", "--jobs", str(jobs)])
+        assert code == 3
+        assert out == "n,base,order,midy_set\n"
+        assert capsys.readouterr().err.startswith("error: no factor of ")
 
 
 class TestScanBrokenPipe:

@@ -222,12 +222,16 @@ class TestOneFactorization:
         assert factored.count(21) == 1
 
     def test_progression_never_factors_a_candidate(self, factored):
+        # nor takes an order mod one: one modular power decides each
+        _order_mod_prime.cache_clear()
         trace = prime_progression(10, 3, 1, 5)
         candidates = {
             j * m + 1 for m, p in trace.steps for j in range(1, (p - 1) // m + 1)
         }
         assert trace.primes == (7, 19, 109, 487, 2917)
         assert not candidates & set(factored)
+        info = _order_mod_prime.cache_info()
+        assert info.hits + info.misses == 0
 
     def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
         # The chunk sieve factors each row's n, and L's factorization is

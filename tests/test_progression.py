@@ -7,7 +7,7 @@ import pytest
 from midylab import arith
 from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.midy import midy_check_direct, midy_check_ppl2
-from midylab.order import order_mod
+from midylab.order import order_mod, order_mod_naive
 from midylab.progression import (
     _next_prime_in_progression,
     _pocklington_step,
@@ -204,11 +204,14 @@ def _q_part(q, n):
 
 
 class TestPocklingtonStep:
+    """True: P is proven prime with modulus in its order; False: P is not
+    the answer; None: P is the answer exactly when it is prime."""
+
     def test_proven_steps_check_out_with_pow_and_gcd(self):
         proven = past_bound = 0
         for b, q, v, count in [(10, 3, 1, 40), (60, 5, 1, 30), (3, 2, 1, 30)]:
-            for _, P in prime_progression(b, q, v, count).steps:
-                if P < 1000 or not _pocklington_step(b, q, P):
+            for modulus, P in prime_progression(b, q, v, count).steps:
+                if P < 1000 or not _pocklington_step(b, q, modulus, P):
                     continue
                 # Pocklington with the base as witness and F = the q-part
                 # of P - 1: b**(P-1) == 1, gcd(b**((P-1)/q) - 1, P) == 1
@@ -223,37 +226,72 @@ class TestPocklingtonStep:
         assert proven >= 60 and past_bound >= 30
 
     def test_fermat_pseudoprime_with_x_one_is_undecided(self):
-        # 1729 = 7 * 13 * 19: 2**864 == 1 (mod 1729), so x == 1
+        # 1729 = 7 * 13 * 19: 2**864 == 1 (mod 1729), so x == 1, but the
+        # order of 2 is 36, so z = 2**27 != 1 and is_prime must decide
         assert pow(2, 1728 // 2, 1729) == 1
-        assert _pocklington_step(2, 2, 1729) is None
+        assert pow(2, 27, 1729) != 1
+        assert _pocklington_step(2, 2, 2, 1729) is None
+        # modulus 64 is all of the 2-part of 1728: z = 2**(27 * 32) == 1
+        assert _pocklington_step(2, 2, 64, 1729) is False
 
     def test_small_q_part_is_not_a_proof(self):
         # 1027 = 13 * 79 passes Fermat to base 56 with gcd(x - 1, P) == 1,
         # but F = 2 and F * F <= P, so nothing is proven
         x = pow(56, 1026 // 2, 1027)
         assert pow(56, 1026, 1027) == 1 and math.gcd(x - 1, 1027) == 1
-        assert _pocklington_step(56, 2, 1027) is None
+        assert _pocklington_step(56, 2, 2, 1027) is None
 
     def test_fermat_failure_is_composite(self):
-        # 1003 = 17 * 59; 2**1002 != 1 (mod 1003)
+        # 1003 = 17 * 59; 2**1002 != 1 (mod 1003), while z = 2**501 != 1
         assert pow(2, 1002, 1003) != 1
-        assert _pocklington_step(2, 2, 1003) is False
+        assert pow(2, 501, 1003) != 1
+        assert _pocklington_step(2, 2, 2, 1003) is False
 
     def test_verdicts_are_sound(self):
-        # True only for a prime whose order carries all of the q-part of
-        # P - 1, False only for a composite
+        # Every P == 1 (mod q) below 20000 and every modulus q**s dividing
+        # P - 1: the verdict, with None read as is_prime(P), is the answer
+        # (P prime and modulus | ord_P(b)); True also puts all of the
+        # q-part F of P - 1 in the order of a prime P.
         for q in (2, 3, 5):
-            for P in range(1001 - 1000 % q, 20000, q):
+            for P in range(q + 1, 20000, q):
                 F = _q_part(q, P - 1)
+                prime = arith.is_prime(P)
                 for b in (2, 3, 10, 56):
                     if math.gcd(b, P) != 1:
                         continue
-                    verdict = _pocklington_step(b, q, P)
-                    if verdict is False:
-                        assert not arith.is_prime(P), (b, q, P)
-                    elif verdict:
-                        assert arith.is_prime(P), (b, q, P)
-                        assert order_mod(b, P) % F == 0, (b, q, P)
+                    order = order_mod(b, P) if prime else None
+                    modulus = q
+                    while F % modulus == 0:
+                        verdict = _pocklington_step(b, q, modulus, P)
+                        answer = prime and order % modulus == 0
+                        if verdict is None:
+                            assert prime == answer, (b, q, modulus, P)
+                        else:
+                            assert verdict == answer, (b, q, modulus, P)
+                        if verdict:
+                            assert order % F == 0, (b, q, modulus, P)
+                        modulus *= q
+
+    def test_order_rule(self):
+        # For a prime P and q**s | P - 1, with q**a the q-part of
+        # j = (P - 1) / q**s: q**s divides ord_P(b) exactly when
+        # z = b**((P-1)/q**(a+1)) != 1, and a False verdict is z == 1.
+        for P in range(3, 20000, 2):
+            if not arith.is_prime(P):
+                continue
+            for b in (2, 3, 10, 56):
+                if b % P == 0:
+                    continue
+                order = order_mod_naive(b, P)
+                for q in (2, 3, 5):
+                    F = _q_part(q, P - 1)
+                    modulus = q
+                    while F % modulus == 0:
+                        z = pow(b, (P - 1) * modulus // (F * q), P)
+                        assert (z != 1) == (order % modulus == 0), (b, q, modulus, P)
+                        verdict = _pocklington_step(b, q, modulus, P)
+                        assert (verdict is not False) == (z != 1), (b, q, modulus, P)
+                        modulus *= q
 
     def test_matches_reference_scan(self):
         def reference(b, modulus, last):
