@@ -13,7 +13,6 @@ a number on its own.  Both give the same Factorization for every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BoundedSearchError, DomainError
 
@@ -162,50 +161,54 @@ def is_prime_proven(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(tuple):
     """Canonical factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
-    The empty tuple represents 1.
+    A tuple of its (p, e) pairs, checked on construction; the empty
+    tuple represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors):
+        self = tuple.__new__(cls, factors)
         prev = 1
-        for p, e in self.factors:
+        for p, e in self:
             if p <= prev:
                 raise DomainError("factorization primes must be strictly increasing")
             if e < 1:
                 raise DomainError("factorization exponents must be >= 1")
             prev = p
+        return self
 
-    def __iter__(self):
-        return iter(self.factors)
+    def __repr__(self) -> str:
+        return f"Factorization(factors={tuple(self)!r})"
 
-    def __len__(self) -> int:
-        return len(self.factors)
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        """The (p, e) pairs as a plain tuple."""
+        return tuple(self)
 
     @property
     def value(self) -> int:
         n = 1
-        for p, e in self.factors:
+        for p, e in self:
             n *= p**e
         return n
 
     def valuation(self, p: int) -> int:
-        for q, e in self.factors:
+        for q, e in self:
             if q == p:
                 return e
         return 0
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        return tuple(p for p, _ in self)
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""
         divs = [1]
-        for p, e in self.factors:
+        for p, e in self:
             block = divs
             for _ in range(e):
                 block = [d * p for d in block]
@@ -294,7 +297,7 @@ def factor(n: int) -> Factorization:
             found[n] = found.get(n, 0) + 1
         else:
             _factor_into(n, found)
-    return Factorization(tuple(sorted(found.items())))
+    return Factorization(sorted(found.items()))
 
 
 def factor_range(lo: int, hi: int) -> list[Factorization]:
@@ -306,7 +309,7 @@ def factor_range(lo: int, hi: int) -> list[Factorization]:
     square root, so it is prime when it is below 10**6, factor's own
     rule; only a larger one goes on to factor's primality test and rho.
     """
-    return [Factorization(tuple(factors)) for factors in _factor_lists(lo, hi)]
+    return [Factorization(factors) for factors in _factor_lists(lo, hi)]
 
 
 def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:

@@ -39,10 +39,9 @@ def _format_digits(digits, base: int) -> str:
 
 
 def _certificate_json(cert):
-    # Every certificate is a flat dataclass of ints, so a copy of its
-    # instance dict is dataclasses.asdict, keys in field order, without
-    # the recursive deep copy.
-    return None if cert is None else dict(vars(cert))
+    # Every certificate is a flat named tuple of ints; its dict has the
+    # keys in field order.
+    return None if cert is None else cert._asdict()
 
 
 def _certificate_text(cert) -> str:
@@ -248,7 +247,7 @@ def _scan_text(task) -> str:
     b, lo, hi, fmt = task
     # _scan_row is looked up at call time, so a rebinding sees every row.
     return "".join(
-        _scan_row(b, n, Factorization(tuple(factors)), fmt)
+        _scan_row(b, n, Factorization(factors), fmt)
         for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi))
         if math.gcd(n, b) == 1
     )

@@ -11,7 +11,7 @@ any prime of d), which the test suite asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 from .errors import PreconditionError
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JenkinsInstance:
+class JenkinsInstance(NamedTuple):
     """A product instance: base, block count and the (prime, exponent) list.
 
     orders, block_lengths and lift_valuations hold |b| mod p_i,
@@ -50,8 +49,7 @@ class JenkinsInstance:
         return n
 
 
-@dataclass(frozen=True)
-class JenkinsDecomposition:
+class JenkinsDecomposition(NamedTuple):
     """d-smooth decomposition of the lifted cofactors z_j = p_j**max(h_j-m_j,0) * k_j.
 
     d_primes lists (q_i, r_i) with d = prod q_i**r_i.  For each j,
@@ -116,7 +114,7 @@ def _lifted_cofactors(inst: JenkinsInstance) -> list[int]:
 
 def jenkins_decomposition(inst: JenkinsInstance) -> JenkinsDecomposition:
     """Split each lifted cofactor into d-power, residual d-primes and cofactor."""
-    d_primes = tuple(arith.factor(inst.d).factors)
+    d_primes = arith.factor(inst.d).factors
     cs = []
     alphas = []
     ys = []
@@ -142,7 +140,7 @@ def jenkins_check(inst: JenkinsInstance) -> bool:
     lcm of the d-smooth parts by the j-th d-smooth part is not divisible
     by d, i.e. falls short of d in at least one prime.
     """
-    d_primes = tuple(arith.factor(inst.d).factors)
+    d_primes = arith.factor(inst.d).factors
     vectors = [
         [arith.valuation(q, z) for q, _ in d_primes] for z in _lifted_cofactors(inst)
     ]
@@ -157,7 +155,7 @@ def _block_gcd(inst: JenkinsInstance) -> int:
     # gcd(b**k - 1, N) with k = order of b mod N over d.  The instance
     # already lists the prime powers of N, so N is never factored.
     N = inst.modulus
-    n_factors = arith.Factorization(tuple(sorted(inst.prime_powers)))
+    n_factors = arith.Factorization(sorted(inst.prime_powers))
     k = order_mod(inst.base, N, n_factors=n_factors) // inst.d
     return arith.gcd_pow_minus_one(inst.base, k, N)
 

@@ -27,7 +27,7 @@ where both one-digit block sums equal b - 1 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith, expansion
 from .arith import Factorization
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrimeCertificate:
+class PrimeCertificate(NamedTuple):
     """Prime divisor of N witnessing a failed or unmatched valuation test."""
 
     p: int
@@ -57,15 +56,13 @@ class PrimeCertificate:
     nu_d: int
 
 
-@dataclass(frozen=True)
-class OracleCertificate:
+class OracleCertificate(NamedTuple):
     """Smallest numerator whose block sum misses divisibility."""
 
     x: int
 
 
-@dataclass(frozen=True)
-class GcdCertificate:
+class GcdCertificate(NamedTuple):
     """A gcd(b**k - 1, N) value greater than 1."""
 
     g: int
@@ -74,15 +71,13 @@ class GcdCertificate:
 Certificate = PrimeCertificate | OracleCertificate | GcdCertificate
 
 
-@dataclass(frozen=True)
-class MidyVerdict:
+class MidyVerdict(NamedTuple):
     holds: bool
     method: str
     certificate: Certificate | None = None
 
 
-@dataclass(frozen=True)
-class MidySet:
+class MidySet(NamedTuple):
     """All block counts d > 1 dividing the order for which the property holds.
 
     members is ascending and upward closed under divisibility within the
@@ -103,21 +98,22 @@ def _check_args(d: int, L: int) -> int:
     return L // d
 
 
-def _allowance(p: int, b: int, k: int, d: int) -> int:
-    """Largest exponent of p that N may carry without breaking membership.
+def _allowance(gain: int, k: int, d: int) -> int:
+    """Largest exponent of 2 that N may carry without breaking membership.
 
     Membership demands nu_p(N) + nu_p(b**k - 1) <= nu_p(b**(kd) - 1) at
     every prime p of gcd(b**k - 1, N).  For odd p the power lifts by
     exactly nu_p(d).  At p = 2 (b odd) the square step contributes
     nu_2(b**k + 1) - 1 extra whenever d is even, and nothing when d is
     odd, so the stated valuation bound nu_2(d) is exact only for even k.
+    For odd k, b**k + 1 is b + 1 times an alternating sum of k odd
+    terms, which is odd, so that extra is gain = nu_2(b + 1) - 1 for
+    every odd k; callers compute it once.
     """
-    if p != 2:
-        return arith.valuation(p, d)
     if d % 2 != 0:
         return 0
-    extra = arith.valuation(2, b + 1) - 1 if k % 2 else 0
-    return arith.valuation(2, d) + extra
+    # (d & -d) is the largest power of two dividing d.
+    return (d & -d).bit_length() - 1 + (gain if k % 2 else 0)
 
 
 def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
@@ -131,21 +127,25 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
     A prime p can break d only when ord_p divides k = L/d, that is when
     d divides M = L/ord_p, so a prime with M == 1 is dropped up front.
     At odd p, d then breaks exactly when p**nu_p(N) does not divide it,
-    since the allowance there is nu_p(d); p = 2 keeps _allowance.
+    since the allowance there is nu_p(d); p = 2 keeps _allowance, with
+    its gain taken once per profile.
     """
-    b, L = profile.base, profile.order
+    L = profile.order
     if divisors is None:
         divisors = profile.order_factors.divisors()[1:]
     tests = []
+    gain = 0
     for entry in profile.per_prime:
         p, nu_n, _, ord_p = entry
         if ord_p != L:
+            if p == 2:
+                gain = arith.valuation(2, profile.base + 1) - 1
             tests.append((entry, L // ord_p, None if p == 2 else p**nu_n))
     for d in divisors:
         culprit = None
         for entry, M, pt in tests:
             if M % d == 0 and (
-                d % pt if pt else entry[1] > _allowance(2, b, L // d, d)
+                d % pt if pt else entry[1] > _allowance(gain, L // d, d)
             ):
                 culprit = entry
                 break
@@ -202,7 +202,7 @@ def midy_check_ppl3(
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
-            if nu_n > _allowance(2, b, k, d):
+            if nu_n > _allowance(arith.valuation(2, b + 1) - 1, k, d):
                 return MidyVerdict(
                     holds=False,
                     method="ppl3",

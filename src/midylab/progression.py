@@ -19,7 +19,7 @@ Fermat test and, mostly, as a Pocklington proof with the base as witness
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES
@@ -46,8 +46,7 @@ DEFAULT_SEARCH_BOUND = 10**7
 _PRIMES_41_TO_997 = math.prod(p for p in _SMALL_PRIMES if p > _TRIAL_PRIMES[-1])
 
 
-@dataclass(frozen=True)
-class PrimePowerStructure:
+class PrimePowerStructure(NamedTuple):
     """Shape data of N relative to q: N = q**q_exponent * prod p_i**h_i.
 
     m is the lift valuation of the base at q (None when q does not divide
@@ -65,8 +64,7 @@ class PrimePowerStructure:
     order_valuations: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProgressionTrace:
+class ProgressionTrace(NamedTuple):
     """Strictly increasing primes, each 1 mod its step modulus.
 
     steps holds (modulus, prime) pairs; every prime is congruent to 1

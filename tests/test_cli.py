@@ -1,6 +1,5 @@
 """CLI surface tests: exact outputs, exit codes, formats, scan workers."""
 
-import dataclasses
 import functools
 import hashlib
 import io
@@ -104,6 +103,15 @@ class TestExpandCommand:
     def test_zero_blocks_is_domain_error(self):
         code, _ = run_cli(["expand", "--base", "10", "1", "13", "--blocks", "0"])
         assert code == 1
+
+    def test_period_past_the_limit(self):
+        # 1/1000171 has a period of 1000170 digits in base 10.
+        proc, elapsed = run_cli_process(["expand", "--base", "10", "1", "1000171"])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1
 
 
 class TestMidyCheckCommand:
@@ -434,17 +442,19 @@ class TestScanBrokenPipe:
 
 class TestCertificateJson:
     @pytest.mark.parametrize(
-        "cert",
+        "cert,want",
         [
-            midy.midy_check_ppl2(8, 75, 10).certificate,
-            midy.midy_check_direct(8, 75, 10).certificate,
-            GcdCertificate(g=11),
+            (midy.midy_check_ppl2(8, 75, 10).certificate, {"p": 3, "nu_n": 1, "nu_d": 0}),
+            (midy.midy_check_direct(8, 75, 10).certificate, {"x": 1}),
+            (GcdCertificate(g=11), {"g": 11}),
         ],
-        ids=lambda cert: type(cert).__name__,
+        ids=["PrimeCertificate", "OracleCertificate", "GcdCertificate"],
     )
-    def test_matches_asdict(self, cert):
+    def test_matches_asdict(self, cert, want):
+        """The dict dataclasses.asdict made of each certificate while the
+        records were dataclasses, pinned with its key order."""
         got = cli._certificate_json(cert)
-        want = dataclasses.asdict(cert)
+        assert type(got) is dict
         assert got == want
         assert list(got) == list(want)
 
@@ -460,7 +470,7 @@ def reference_json_row(b, n):
     excluded = [
         {
             "d": d,
-            "certificate": dataclasses.asdict(midy.midy_check_ppl2(b, n, d).certificate),
+            "certificate": midy.midy_check_ppl2(b, n, d).certificate._asdict(),
         }
         for d in divisors
         if d not in result.members

@@ -121,6 +121,20 @@ class TestPeriodDigits:
         assert all(0 <= digit < b for digit in e.digits)
         assert len(e.digits) == order_mod(b, n)
 
+    def test_period_past_the_limit(self, monkeypatch):
+        want = {n: period_digits(1, n, 10) for n in range(41, 200) if math.gcd(n, 10) == 1}
+        # Every n above the limit takes the counted loop.
+        monkeypatch.setattr(expansion, "PERIOD_DIGIT_LIMIT", 40)
+        for n, e in want.items():
+            if len(e.digits) <= 40:
+                assert period_digits(1, n, 10) == e, n
+            else:
+                with pytest.raises(BoundedSearchError) as info:
+                    period_digits(1, n, 10)
+                assert info.value.bound == 40
+        # n at or below the limit is not counted: its period is shorter.
+        assert len(period_digits(1, 29, 10).digits) == 28
+
 
 class TestBlocksAndSum:
     def test_known_blocks(self):
