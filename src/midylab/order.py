@@ -44,11 +44,11 @@ class ModulusProfile(NamedTuple):
     """Order data of base modulo modulus, computed once per modulus.
 
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
-    factors, in ascending order of p; order is their lcm.  Every record
-    of the package is a named tuple: every decider and scan row builds
-    one of these, a frozen dataclass costs about three times as much to
-    construct, and the dataclasses module alone adds about 10 ms to
-    start-up.
+    factors, in ascending order of p; order is their lcm.  Like every
+    record of the package it is a named tuple (Factorization is a tuple
+    of its pairs): every decider and scan row builds one, a frozen
+    dataclass costs about three times as much to construct, and
+    importing dataclasses adds about 10 ms to start-up.
     """
 
     base: int
