@@ -46,9 +46,8 @@ class ModulusProfile(NamedTuple):
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
     factors, in ascending order of p; order is their lcm.  Like every
     record of the package it is a named tuple (Factorization is a tuple
-    of its pairs): every decider and scan row builds one, a frozen
-    dataclass costs about three times as much to construct, and
-    importing dataclasses adds about 10 ms to start-up.
+    of its pairs): every decider and scan row builds one, and named
+    tuples are cheap to build and to import.
     """
 
     base: int

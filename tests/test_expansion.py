@@ -123,7 +123,7 @@ class TestPeriodDigits:
 
     def test_period_past_the_limit(self, monkeypatch):
         want = {n: period_digits(1, n, 10) for n in range(41, 200) if math.gcd(n, 10) == 1}
-        # Every n above the limit takes the counted loop.
+        # Periods up to the limit come out whole; longer ones raise.
         monkeypatch.setattr(expansion, "PERIOD_DIGIT_LIMIT", 40)
         for n, e in want.items():
             if len(e.digits) <= 40:
@@ -132,7 +132,7 @@ class TestPeriodDigits:
                 with pytest.raises(BoundedSearchError) as info:
                     period_digits(1, n, 10)
                 assert info.value.bound == 40
-        # n at or below the limit is not counted: its period is shorter.
+        # An n at or below the limit never reaches it: its period is shorter.
         assert len(period_digits(1, 29, 10).digits) == 28
 
 
