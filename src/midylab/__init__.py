@@ -10,12 +10,9 @@ congruent to 1 modulo a prime power.
 from .arith import (
     Factorization,
     factor,
-    factor_range,
-    gcd,
     gcd_pow_minus_one,
     is_prime,
     is_prime_proven,
-    pow_mod,
     valuation,
 )
 from .errors import (
@@ -29,7 +26,6 @@ from .expansion import (
     BlockDecomposition,
     PeriodExpansion,
     blocks_and_sum,
-    midy_direct,
     period_digits,
     smallest_failing_x,
 )
@@ -59,7 +55,6 @@ from .order import (
     modulus_profile,
     order_mod,
     order_mod_naive,
-    order_prime_power,
 )
 from .progression import (
     DEFAULT_SEARCH_BOUND,
@@ -96,8 +91,6 @@ __all__ = [
     "ProgressionTrace",
     "blocks_and_sum",
     "factor",
-    "factor_range",
-    "gcd",
     "gcd_pow_minus_one",
     "guel_triple",
     "is_prime",
@@ -110,15 +103,12 @@ __all__ = [
     "midy_check_direct",
     "midy_check_ppl2",
     "midy_check_ppl3",
-    "midy_direct",
     "midy_prime_v1_check",
     "midy_set",
     "modulus_profile",
     "order_mod",
     "order_mod_naive",
-    "order_prime_power",
     "period_digits",
-    "pow_mod",
     "prime_power_midy_structure",
     "prime_power_structure",
     "prime_progression",

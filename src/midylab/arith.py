@@ -1,13 +1,13 @@
-"""Exact integer kernel: gcd, modular power, valuations, factoring, primality.
+"""Exact integer kernel: valuations, factoring, primality.
 
 Everything operates on plain Python ints (arbitrary precision, never
-negative here).  All functions are pure; nothing in this module keeps
-state between calls.
+negative here); gcds and modular powers are math.gcd and pow.  All
+functions are pure; nothing in this module keeps state between calls.
 
 factor factors one number by trial division below 1000 and Brent's rho
-beyond; factor_range factors a whole window of consecutive numbers with
+beyond; _factor_lists factors a whole window of consecutive numbers with
 one sieve by the same small primes, so a range scan never trial-divides
-a number on its own.  Both give the same Factorization for every n.
+a number on its own.  Both give the same factors for every n.
 """
 
 from __future__ import annotations
@@ -19,47 +19,25 @@ from .errors import BoundedSearchError, DomainError
 __all__ = [
     "Factorization",
     "factor",
-    "factor_range",
-    "gcd",
     "gcd_pow_minus_one",
     "is_prime",
     "is_prime_proven",
     "MILLER_RABIN_PROVEN_BOUND",
-    "pow_mod",
     "RHO_STEP_LIMIT",
     "valuation",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, n) == n."""
-    if a < 0 or b < 0:
-        raise DomainError("gcd arguments must be non-negative")
-    return math.gcd(a, b)
-
-
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, computed without materializing base**exp.
-
-    modulus must be >= 1; exp == 0 yields 1 % modulus.
-    """
-    if modulus == 0:
-        raise DomainError("pow_mod modulus must be >= 1")
-    if modulus < 0 or base < 0 or exp < 0:
-        raise DomainError("pow_mod arguments must be non-negative")
-    return pow(base, exp, modulus)
 
 
 def gcd_pow_minus_one(base: int, exp: int, modulus: int) -> int:
     """gcd(base**exp - 1, modulus) without materializing base**exp.
 
     The first argument of the gcd is reduced to
-    (base**exp - 1) mod modulus == (pow_mod(base, exp, modulus) + modulus - 1) % modulus,
+    (base**exp - 1) mod modulus == (pow(base, exp, modulus) + modulus - 1) % modulus,
     which has the same gcd with modulus.
     """
     if modulus < 1:
         raise DomainError("modulus must be >= 1")
-    reduced = (pow_mod(base, exp, modulus) + modulus - 1) % modulus
+    reduced = (pow(base, exp, modulus) + modulus - 1) % modulus
     return math.gcd(reduced, modulus)
 
 
@@ -300,8 +278,9 @@ def factor(n: int) -> Factorization:
     return Factorization(sorted(found.items()))
 
 
-def factor_range(lo: int, hi: int) -> list[Factorization]:
-    """[factor(n) for n in range(lo, hi)], with one sieve for the window.
+def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
+    """factor(n) for n in range(lo, hi) as plain lists of (p, e), with one
+    sieve for the window; callers wrap only the rows they keep.
 
     Each prime below 1000 and up to isqrt(hi - 1) is divided out of the
     multiples it has in the window, found by stepping, not by trial.  A
@@ -309,14 +288,8 @@ def factor_range(lo: int, hi: int) -> list[Factorization]:
     square root, so it is prime when it is below 10**6, factor's own
     rule; only a larger one goes on to factor's primality test and rho.
     """
-    return [Factorization(factors) for factors in _factor_lists(lo, hi)]
-
-
-def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """factor_range as plain lists of (p, e), for callers that wrap only
-    the rows they keep."""
     if lo < 1:
-        raise DomainError("factor_range requires lo >= 1")
+        raise DomainError("_factor_lists requires lo >= 1")
     rest = list(range(lo, hi))
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
     limit = math.isqrt(hi - 1) if hi > lo else 0

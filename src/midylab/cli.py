@@ -70,11 +70,22 @@ def _cmd_order(args, out) -> int:
     return EXIT_OK
 
 
+# Python's default limit on the decimal digits of an int it converts to
+# text.  expand writes the block sum, which no block exceeds, as decimal,
+# so a sum with more digits than this ends with exit 3, not a ValueError.
+INT_TEXT_DIGIT_LIMIT = 4300
+
+
 def _cmd_expand(args, out) -> int:
     e = expansion.period_digits(args.x, args.n, args.base)
     blocks = (
         expansion.blocks_and_sum(e, args.blocks) if args.blocks is not None else None
     )
+    if blocks is not None and blocks.block_sum >= 10**INT_TEXT_DIGIT_LIMIT:
+        raise BoundedSearchError(
+            f"the block sum has more than {INT_TEXT_DIGIT_LIMIT} decimal digits",
+            INT_TEXT_DIGIT_LIMIT,
+        )
     if args.format == "json":
         payload = {
             "base": args.base,
@@ -100,6 +111,26 @@ def _cmd_expand(args, out) -> int:
     return EXIT_OK
 
 
+def _write_verdict(out, fmt, base, n, d, holds, method, cert) -> None:
+    if fmt == "json":
+        out.write(
+            _json(
+                {
+                    "base": base,
+                    "n": n,
+                    "d": d,
+                    "holds": holds,
+                    "method": method,
+                    "certificate": _certificate_json(cert),
+                }
+            )
+            + "\n"
+        )
+    else:
+        state = "holds" if holds else "fails"
+        out.write(f"{method}: {state}{_certificate_text(cert)}\n")
+
+
 _METHODS = {
     "ppl2": midy.midy_check_ppl2,
     "ppl3": midy.midy_check_ppl3,
@@ -110,26 +141,8 @@ _METHODS = {
 def _cmd_midy_check(args, out) -> int:
     methods = list(_METHODS) if args.method == "all" else [args.method]
     for name in methods:
-        verdict = _METHODS[name](args.base, args.n, args.d)
-        if args.format == "json":
-            out.write(
-                _json(
-                    {
-                        "base": args.base,
-                        "n": args.n,
-                        "d": args.d,
-                        "holds": verdict.holds,
-                        "method": verdict.method,
-                        "certificate": _certificate_json(verdict.certificate),
-                    }
-                )
-                + "\n"
-            )
-        else:
-            state = "holds" if verdict.holds else "fails"
-            out.write(
-                f"{name}: {state}{_certificate_text(verdict.certificate)}\n"
-            )
+        holds, method, cert = _METHODS[name](args.base, args.n, args.d)
+        _write_verdict(out, args.format, args.base, args.n, args.d, holds, method, cert)
     return EXIT_OK
 
 
@@ -156,6 +169,8 @@ def _cmd_midy_set(args, out) -> int:
 def _cmd_jenkins(args, out) -> int:
     inst = jenkins.jenkins_instance(args.base, args.d, args.prime)
     routes = ["formula", "gcd"] if args.route == "both" else [args.route]
+    # Only JSON prints N, and the formula route never builds it.
+    n = inst.modulus if args.format == "json" else None
     for route in routes:
         if route == "formula":
             holds = jenkins.jenkins_check(inst)
@@ -164,23 +179,7 @@ def _cmd_jenkins(args, out) -> int:
             g = jenkins._block_gcd(inst)
             holds = g == 1
             cert = None if holds else GcdCertificate(g=g)
-        if args.format == "json":
-            out.write(
-                _json(
-                    {
-                        "base": inst.base,
-                        "n": inst.modulus,
-                        "d": inst.d,
-                        "holds": holds,
-                        "method": route,
-                        "certificate": _certificate_json(cert),
-                    }
-                )
-                + "\n"
-            )
-        else:
-            state = "holds" if holds else "fails"
-            out.write(f"{route}: {state}{_certificate_text(cert)}\n")
+        _write_verdict(out, args.format, inst.base, n, inst.d, holds, route, cert)
     return EXIT_OK
 
 

@@ -1,13 +1,14 @@
 """Digit-level ground truth for block-sum periodicity.
 
 period_digits produces the minimal repeating digit block of x/N in base b
-by exact long division.  midy_direct decides the block-sum divisibility
-property by quantifying over every numerator in the unit group, with no
-recourse to the structural deciders: for each numerator x the sum of
-its d period blocks S equals (b**k - 1) * T / N, where T is the sum of
-the d long-division remainders taken every k digits, so b**k - 1 divides
-S exactly when N divides T.  That identity is pure long-division
-bookkeeping and is cross-checked digit-by-digit in the test suite.
+by exact long division.  smallest_failing_x decides the block-sum
+divisibility property by quantifying over every numerator in the unit
+group, with no recourse to the structural deciders: for each numerator x
+the sum of its d period blocks S equals (b**k - 1) * T / N, where T is
+the sum of the d long-division remainders taken every k digits, so
+b**k - 1 divides S exactly when N divides T.  That identity is pure
+long-division bookkeeping and is cross-checked digit-by-digit in the
+test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import BoundedSearchError, PreconditionError
-from .order import order_mod
+from .order import modulus_profile
 
 __all__ = [
     "BlockDecomposition",
@@ -25,7 +26,6 @@ __all__ = [
     "PERIOD_DIGIT_LIMIT",
     "PeriodExpansion",
     "blocks_and_sum",
-    "midy_direct",
     "period_digits",
     "smallest_failing_x",
 ]
@@ -53,19 +53,6 @@ class BlockDecomposition(NamedTuple):
     block_sum: int
 
 
-def _check_expansion_args(x: int, N: int, b: int) -> None:
-    if b < 2:
-        raise PreconditionError("base must be >= 2")
-    if not 0 < x < N:
-        raise PreconditionError("numerator must satisfy 0 < x < N")
-    if math.gcd(N, b) != 1:
-        raise PreconditionError(
-            f"gcd({N}, {b}) != 1: expansion is not purely periodic"
-        )
-    if math.gcd(x, N) != 1:
-        raise PreconditionError(f"gcd({x}, {N}) != 1")
-
-
 # Longest period period_digits writes out.  Its remainders are distinct
 # and below N, so a period has fewer than N digits and only an N above
 # the limit can reach it.  Reaching the limit takes about 0.15 s and 8 MB
@@ -81,7 +68,16 @@ def period_digits(x: int, N: int, b: int) -> PeriodExpansion:
     longer than PERIOD_DIGIT_LIMIT raises BoundedSearchError once the
     digit list reaches the limit.
     """
-    _check_expansion_args(x, N, b)
+    if b < 2:
+        raise PreconditionError("base must be >= 2")
+    if not 0 < x < N:
+        raise PreconditionError("numerator must satisfy 0 < x < N")
+    if math.gcd(N, b) != 1:
+        raise PreconditionError(
+            f"gcd({N}, {b}) != 1: expansion is not purely periodic"
+        )
+    if math.gcd(x, N) != 1:
+        raise PreconditionError(f"gcd({x}, {N}) != 1")
     digits = []
     r = x
     for _ in repeat(None, PERIOD_DIGIT_LIMIT):
@@ -122,24 +118,28 @@ def blocks_and_sum(e: PeriodExpansion, d: int) -> BlockDecomposition:
 DIRECT_ORACLE_LIMIT = 10**6
 
 
-def _coprime_mask(N: int) -> bytearray:
+def _coprime_mask(N: int, primes) -> bytearray:
+    """Flags of the x < N coprime to N, given the primes of N."""
     mask = bytearray([1]) * N
     mask[0] = 0
-    n = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            mask[p::p] = bytearray(len(mask[p::p]))
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        mask[n::n] = bytearray(len(mask[n::n]))
+    for p in primes:
+        mask[p::p] = bytearray(len(mask[p::p]))
     return mask
 
 
-def _direct_scan(b: int, N: int, d: int, find_min: bool) -> tuple[bool, int | None]:
-    L = order_mod(b, N)
+def smallest_failing_x(b: int, N: int, d: int) -> int | None:
+    """Smallest counterexample numerator, or None when the property holds.
+
+    Walks the unit group orbit by orbit: the property holds iff for every
+    x coprime to N with 0 < x < N, the sum of the d blocks of the period
+    of x/N is divisible by b**k - 1, k = order/d.  The walk stops once no
+    numerator left can be below the best counterexample found.  The order
+    and the primes of N come from modulus_profile, so a bad N or b raises
+    what the structural deciders raise; an N above DIRECT_ORACLE_LIMIT
+    then raises BoundedSearchError before any array is allocated.
+    """
+    profile = modulus_profile(b, N)
+    L = profile.order
     if d <= 1:
         raise PreconditionError("block count d must be > 1")
     if L % d != 0:
@@ -151,13 +151,16 @@ def _direct_scan(b: int, N: int, d: int, find_min: bool) -> tuple[bool, int | No
             DIRECT_ORACLE_LIMIT,
         )
     k = L // d
-    coprime = _coprime_mask(N)
+    coprime = _coprime_mask(N, profile.factors.primes())
     visited = bytearray(N)
-    holds = True
-    best: int | None = None
+    best = N
     for x in range(1, N):
         if visited[x] or not coprime[x]:
             continue
+        # x is the smallest element of its orbit, and every later orbit
+        # lies above x too, so a counterexample below x is the answer.
+        if x > best:
+            break
         # Walk the base-b remainder orbit of x; it has length exactly L.
         orbit = []
         r = x
@@ -170,30 +173,8 @@ def _direct_scan(b: int, N: int, d: int, find_min: bool) -> tuple[bool, int | No
         # the property holds for it iff N divides that remainder sum.
         for c in range(k):
             stripe = orbit[c::k]
-            if sum(stripe) % N != 0:
-                holds = False
-                if not find_min:
-                    return False, None
-                worst = min(stripe)
-                if best is None or worst < best:
-                    best = worst
-    return holds, best
-
-
-def midy_direct(b: int, N: int, d: int) -> bool:
-    """Decide the block-sum property by exhausting every x in the unit group.
-
-    True iff for every x coprime to N with 0 < x < N, the sum of the d
-    blocks of the period of x/N is divisible by b**k - 1, k = order/d.
-    The order comes from order_mod, so a bad N or b raises what the
-    structural deciders raise; an N above DIRECT_ORACLE_LIMIT then raises
-    BoundedSearchError before any array is allocated.
-    """
-    holds, _ = _direct_scan(b, N, d, find_min=False)
-    return holds
-
-
-def smallest_failing_x(b: int, N: int, d: int) -> int | None:
-    """Smallest counterexample numerator, or None when the property holds."""
-    _, worst = _direct_scan(b, N, d, find_min=True)
-    return worst
+            if sum(stripe) % N:
+                best = min(best, *stripe)
+                if best == x:
+                    return x  # nothing left can be below x
+    return None if best == N else best

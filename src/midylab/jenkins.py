@@ -5,8 +5,10 @@ count d, and arbitrary positive exponents h_i, the criterion decides
 whether N = prod p_i**h_i keeps it.  Two routes are provided: the
 lcm-quotient test on the d-smooth exponent vectors of the lifted
 cofactors, and the direct gcd evaluation.  The verdict is independent of
-the h_i (the lifted prime power p_i**(h_i - m_i) contributes nothing to
-any prime of d), which the test suite asserts.
+the h_i: every prime of d divides |b| mod p_i, hence p_i - 1, so the
+lifted prime power p_i**(h_i - m_i) contributes nothing to any prime of
+d, and the formula route reads its vectors off the block lengths k_i
+alone.  The test suite asserts that independence on both routes.
 """
 
 from __future__ import annotations
@@ -101,24 +103,18 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
     )
 
 
-def _lifted_cofactors(inst: JenkinsInstance) -> list[int]:
-    # Exponents h <= m contribute no power of p, mirroring the order
-    # lifting rule, so the exponent is clamped at zero.
-    return [
-        p ** max(h - m, 0) * k
-        for (p, h), m, k in zip(
-            inst.prime_powers, inst.lift_valuations, inst.block_lengths
-        )
-    ]
-
-
 def jenkins_decomposition(inst: JenkinsInstance) -> JenkinsDecomposition:
     """Split each lifted cofactor into d-power, residual d-primes and cofactor."""
     d_primes = arith.factor(inst.d).factors
     cs = []
     alphas = []
     ys = []
-    for z in _lifted_cofactors(inst):
+    for (p, h), m, k in zip(
+        inst.prime_powers, inst.lift_valuations, inst.block_lengths
+    ):
+        # Exponents h <= m contribute no power of p, mirroring the order
+        # lifting rule, so the exponent is clamped at zero.
+        z = p ** max(h - m, 0) * k
         exps = [arith.valuation(q, z) for q, _ in d_primes]
         c = min(e // r for e, (_, r) in zip(exps, d_primes))
         alpha = tuple(e - c * r for e, (_, r) in zip(exps, d_primes))
@@ -141,8 +137,10 @@ def jenkins_check(inst: JenkinsInstance) -> bool:
     by d, i.e. falls short of d in at least one prime.
     """
     d_primes = arith.factor(inst.d).factors
+    # p_j**(h_j - m_j) adds nothing at the primes of d (module docstring),
+    # so each vector is read off k_j alone.
     vectors = [
-        [arith.valuation(q, z) for q, _ in d_primes] for z in _lifted_cofactors(inst)
+        [arith.valuation(q, k) for q, _ in d_primes] for k in inst.block_lengths
     ]
     peak = [max(col) for col in zip(*vectors)]
     return all(

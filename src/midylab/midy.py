@@ -122,7 +122,7 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
     divisors defaults to every d > 1 dividing the order, ascending; each
     must divide the order.  culprit is None exactly when d has the
     property, else the per_prime entry (p, nu_p(N), ...) of the first
-    prime of N that breaks it, for _prime_certificate.
+    prime of N that breaks it, for a PrimeCertificate.
 
     A prime p can break d only when ord_p divides k = L/d, that is when
     d divides M = L/ord_p, so a prime with M == 1 is dropped up front.
@@ -152,11 +152,16 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
         yield d, culprit
 
 
-def _prime_certificate(culprit, d: int) -> PrimeCertificate | None:
-    if culprit is None:
-        return None
-    p, nu_n = culprit[0], culprit[1]
-    return PrimeCertificate(p=p, nu_n=nu_n, nu_d=arith.valuation(p, d))
+def _order_escapes(ord_p: int, L: int, d: int, primes) -> bool:
+    """True when some q in primes has nu_q(ord_p) > nu_q(L) - nu_q(d).
+
+    That is, ord_p does not divide k = L/d, once primes holds every prime
+    of d (a q not dividing d never passes, since ord_p divides L).
+    """
+    return any(
+        arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
+        for q in primes
+    )
 
 
 def midy_check_ppl2(
@@ -175,10 +180,13 @@ def midy_check_ppl2(
     profile = modulus_profile(b, N, n_factors=n_factors)
     _check_args(d, profile.order)
     [(_, culprit)] = _ppl2_verdicts(profile, (d,))
+    if culprit is None:
+        return MidyVerdict(holds=True, method="ppl2")
+    p, nu_n = culprit[0], culprit[1]
     return MidyVerdict(
-        holds=culprit is None,
+        holds=False,
         method="ppl2",
-        certificate=_prime_certificate(culprit, d),
+        certificate=PrimeCertificate(p=p, nu_n=nu_n, nu_d=arith.valuation(p, d)),
     )
 
 
@@ -202,19 +210,10 @@ def midy_check_ppl3(
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
-            if nu_n > _allowance(arith.valuation(2, b + 1) - 1, k, d):
-                return MidyVerdict(
-                    holds=False,
-                    method="ppl3",
-                    certificate=PrimeCertificate(p=p, nu_n=nu_n, nu_d=nu_d),
-                )
-            continue
-        if nu_n <= nu_d:
-            continue
-        if not any(
-            arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
-            for q in order_primes
-        ):
+            fails = nu_n > _allowance(arith.valuation(2, b + 1) - 1, k, d)
+        else:
+            fails = nu_n > nu_d and not _order_escapes(ord_p, L, d, order_primes)
+        if fails:
             return MidyVerdict(
                 holds=False,
                 method="ppl3",
@@ -263,10 +262,6 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
     [(_, culprit)] = _ppl2_verdicts(profile, (d,))
     d_primes = arith.factor(d).primes()
     stmt_exists = all(
-        any(
-            arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
-            for q in d_primes
-        )
-        for _, _, _, ord_p in profile.per_prime
+        _order_escapes(ord_p, L, d, d_primes) for _, _, _, ord_p in profile.per_prime
     )
     return stmt_gcd, culprit is None, stmt_exists

@@ -36,7 +36,6 @@ __all__ = [
     "modulus_profile",
     "order_mod",
     "order_mod_naive",
-    "order_prime_power",
 ]
 
 
@@ -145,7 +144,12 @@ def _order_mod_two_power(b: int, t: int) -> int:
 
 
 def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
-    """(order mod p**t, order mod p): order_prime_power without its checks."""
+    """(order mod p**t, order mod p) for prime p not dividing b.
+
+    Odd p uses the lifting rule from the order modulo p; p = 2 is routed
+    to the direct doubling scan.  Unchecked: modulus_profile checks its
+    arguments and reads these as per_prime.
+    """
     if p == 2:
         return _order_mod_two_power(b, t), 1
     op = _order_mod_prime(b % p, p)[0]
@@ -153,21 +157,6 @@ def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
         return op, op
     # t > m, so the order mod p**t picks up p**(t - m).
     return p ** (t - _lift_exponent(b, p, op)) * op, op
-
-
-def order_prime_power(b: int, p: int, t: int) -> int:
-    """Order of b modulo p**t for prime p not dividing b.
-
-    Odd p uses the lifting rule from the order modulo p; p = 2 is routed
-    to the direct doubling scan.
-    """
-    if t < 1:
-        raise DomainError("exponent t must be >= 1")
-    if not arith.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if b % p == 0:
-        raise PreconditionError(f"base {b} is divisible by {p}")
-    return _orders_at(b, p, t)[0]
 
 
 def _profile(b: int, N: int, factors: arith.Factorization) -> ModulusProfile:

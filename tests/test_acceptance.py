@@ -19,7 +19,7 @@ import pytest
 
 from midylab import arith
 from midylab.arith import Factorization
-from midylab.expansion import blocks_and_sum, midy_direct, period_digits
+from midylab.expansion import blocks_and_sum, period_digits, smallest_failing_x
 from midylab.jenkins import JenkinsInstance, jenkins_check, jenkins_check_gcd
 from midylab.midy import (
     midy_check_direct,
@@ -27,7 +27,7 @@ from midylab.midy import (
     midy_check_ppl3,
     midy_set,
 )
-from midylab.order import lift_valuation, order_mod, order_prime_power
+from midylab.order import lift_valuation, modulus_profile, order_mod
 from midylab.progression import (
     midy_prime_v1_check,
     prime_power_midy_structure,
@@ -78,7 +78,7 @@ def test_criterion_2_worked_example_base_8():
         assert "".join(str(d) for d in e.digits) == "00664720155164033235"
         s = blocks_and_sum(e, 4)
         assert s.block_sum == 65534 == 2 * (8**5 - 1)
-        assert midy_direct(8, 75, 5) is False
+        assert smallest_failing_x(8, 75, 5) is not None
         assert midy_set(8, 75).members == (4, 20)
         assert time.perf_counter() - started < 1.0
 
@@ -97,7 +97,7 @@ def decider_sweep():
             for d in divisors_above_one(L):
                 p2 = midy_check_ppl2(b, n, d).holds
                 p3 = midy_check_ppl3(b, n, d).holds
-                direct = midy_direct(b, n, d)
+                direct = smallest_failing_x(b, n, d) is None
                 per_d[d] = direct
                 if not (p2 == p3 == direct):
                     disagreements.append((b, n, d, p2, p3, direct))
@@ -158,8 +158,8 @@ def test_criterion_5_order_lifting_vs_naive_scan():
             step += 1
 
         mismatches = []
-        for (b, p, t, _), expected in zip(lanes, naive.tolist()):
-            if order_prime_power(b, p, t) != expected:
+        for (b, p, t, modulus), expected in zip(lanes, naive.tolist()):
+            if modulus_profile(b, modulus).per_prime[0][2] != expected:
                 mismatches.append((b, p, t, expected))
         assert mismatches == [], mismatches[:10]
         # spot-check the batched scan against plain loops

@@ -113,6 +113,33 @@ class TestExpandCommand:
         assert "Traceback" not in proc.stderr
         assert elapsed < 1
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_block_sum_past_the_text_limit(self, fmt):
+        # One block of the 9966-digit period of 1/9967 in base 10: its sum
+        # has more digits than Python turns into text by default.
+        proc, elapsed = run_cli_process(
+            ["expand", "--base", "10", "1", "9967", "--blocks", "1", "--format", fmt]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1
+        # Three blocks of 3322 digits stay below the limit and print;
+        # 9967 has the property for d = 3, so they sum to 10**3322 - 1.
+        code, out = run_cli(["expand", "--base", "10", "1", "9967", "--blocks", "3"])
+        assert code == 0
+        assert out.splitlines()[1].endswith(" = " + "9" * 3322)
+
+    def test_text_limit_is_checked_on_the_sum(self, monkeypatch, capsys):
+        # 1/13 in three blocks: 07 + 69 + 23 = 99, two digits.
+        argv = ["expand", "--base", "10", "1", "13", "--blocks", "3"]
+        monkeypatch.setattr(cli, "INT_TEXT_DIGIT_LIMIT", 2)
+        assert run_cli(argv) == (0, "076923\n07 + 69 + 23 = 99\n")
+        monkeypatch.setattr(cli, "INT_TEXT_DIGIT_LIMIT", 1)
+        assert run_cli(argv) == (3, "")
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMidyCheckCommand:
     def test_all_methods_report_failure(self):
@@ -204,6 +231,16 @@ class TestJenkinsCommand:
     def test_hypothesis_violation_domain_error(self):
         code, _ = run_cli(["jenkins", "--base", "10", "--d", "3", "--prime", "11:1"])
         assert code == 1
+
+    def test_formula_route_never_builds_the_modulus(self):
+        # 11**(10**7) would take seconds to build; the human formula line
+        # needs neither it nor the lifted power.
+        proc, elapsed = run_cli_process(
+            ["jenkins", "--base", "10", "--d", "2", "--prime", "11:10000000",
+             "--route", "formula"]
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "formula: holds\n", "")
+        assert elapsed < 1
 
 
 class TestPrimesCommand:

@@ -1,6 +1,6 @@
 """Digit-level oracle tests.
 
-midy_direct avoids rebuilding digits per numerator; here it is pinned
+smallest_failing_x avoids rebuilding digits per numerator; here it is pinned
 against a literal implementation that long-divides every x, cuts digit
 blocks, and checks divisibility of their sum with big integers.
 """
@@ -15,7 +15,6 @@ from midylab import expansion
 from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.expansion import (
     blocks_and_sum,
-    midy_direct,
     period_digits,
     smallest_failing_x,
 )
@@ -179,7 +178,7 @@ class TestMidyDirect:
         "b,n,d,want", [(10, 13, 3, True), (8, 75, 5, False), (10, 13, 6, True)]
     )
     def test_examples(self, b, n, d, want):
-        assert midy_direct(b, n, d) is want
+        assert (smallest_failing_x(b, n, d) is None) is want
 
     def test_matches_literal_definition(self):
         # the remainder-sum shortcut must agree with digit-block sums
@@ -192,7 +191,7 @@ class TestMidyDirect:
                     if L % d:
                         continue
                     want, worst = literal_midy(b, n, d)
-                    assert midy_direct(b, n, d) == want, (b, n, d)
+                    assert (worst is None) == want, (b, n, d)
                     assert smallest_failing_x(b, n, d) == worst, (b, n, d)
 
     def test_block_sum_identity(self):
@@ -208,11 +207,11 @@ class TestMidyDirect:
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
-            midy_direct(10, 13, 1)
+            smallest_failing_x(10, 13, 1)
         with pytest.raises(PreconditionError):
-            midy_direct(10, 13, 4)
+            smallest_failing_x(10, 13, 4)
         with pytest.raises(PreconditionError):
-            midy_direct(10, 15, 2)
+            smallest_failing_x(10, 15, 2)
 
     def test_certificate_is_smallest(self):
         x = smallest_failing_x(8, 75, 5)
@@ -229,13 +228,12 @@ class TestMidyDirect:
         assert smallest_failing_x(8, 75, 5) == 1  # N at the limit still runs
         # The limit is checked after d and before any array is built.
         with pytest.raises(PreconditionError):
-            midy_direct(10, 77, 1)
+            smallest_failing_x(10, 77, 1)
 
-        def no_allocation(N):
+        def no_allocation(N, primes):
             raise AssertionError("allocated past the limit")
 
         monkeypatch.setattr(expansion, "_coprime_mask", no_allocation)
-        for decide in (midy_direct, smallest_failing_x):
-            with pytest.raises(BoundedSearchError) as info:
-                decide(10, 77, 2)
-            assert info.value.bound == 75
+        with pytest.raises(BoundedSearchError) as info:
+            smallest_failing_x(10, 77, 2)
+        assert info.value.bound == 75

@@ -1,6 +1,7 @@
 """Product-criterion tests: formula route vs gcd route vs general decider."""
 
 import math
+import time
 from itertools import combinations, product
 
 import pytest
@@ -62,6 +63,14 @@ class TestChecks:
         inst = jenkins_instance(10, 3, [(13, 5)])
         assert jenkins_check(inst)
         assert midy_check_ppl2(10, 13**5, 3).holds
+
+    def test_huge_exponent_never_builds_the_power(self):
+        # 11**(10**7 - m) would take seconds to build; the formula route
+        # reads only the block length, so h changes nothing but the input.
+        started = time.perf_counter()
+        huge = jenkins_check(jenkins_instance(10, 2, [(11, 10**7)]))
+        assert time.perf_counter() - started < 1
+        assert huge is jenkins_check(jenkins_instance(10, 2, [(11, 1)]))
 
 
 class TestDecomposition:
