@@ -183,17 +183,6 @@ class Factorization(tuple):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self)
 
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self:
-            block = divs
-            for _ in range(e):
-                block = [d * p for d in block]
-                divs += block
-        divs.sort()
-        return divs
-
 
 # Squaring steps Brent's rho may take on one number, over all its
 # increments, before factor gives up with BoundedSearchError.  Rho finds

@@ -19,7 +19,7 @@ from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
 from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
-from .order import _profile, order_mod
+from .order import _order_divisors, _profile, order_mod
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -217,16 +217,17 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
     """The line of n, coprime to b, rendered as fmt; factors is n's
     factorization as the chunk sieve made it, so it is not tested again."""
     profile = _profile(b, n, factors)
-    verdicts = midy._ppl2_verdicts(profile)
+    divisors = _order_divisors(profile)
+    culprits = midy._ppl2_verdicts(profile, divisors)
     if fmt != "json":
-        members = ";".join(str(d) for d, culprit in verdicts if culprit is None)
+        members = ";".join([str(d) for d, c in zip(divisors, culprits) if c is None])
         return f"{n},{b},{profile.order},{members}\n"
     # Every value is an int, which json writes as its repr, so these
     # f-strings are the bytes _json would make of the row, without a
     # PrimeCertificate, a dict or an encoder call per excluded divisor.
     members = []
     excluded = []
-    for d, culprit in verdicts:
+    for d, culprit in zip(divisors, culprits):
         if culprit is None:
             members.append(str(d))
         else:
@@ -244,9 +245,10 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
 def _scan_text(task) -> str:
     """Decide the rows of n in [lo, hi) coprime to b and render them as fmt."""
     b, lo, hi, fmt = task
-    # _scan_row is looked up at call time, so a rebinding sees every row.
+    # The sieve's lists skip Factorization's checks, being factorizations
+    # already.  _scan_row is looked up at call time, so a rebinding sees every row.
     return "".join(
-        _scan_row(b, n, Factorization(factors), fmt)
+        _scan_row(b, n, tuple.__new__(Factorization, factors), fmt)
         for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi))
         if math.gcd(n, b) == 1
     )

@@ -10,12 +10,13 @@ The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
-The divisors of L come from the profile's order factorization, so L is
-never factored either.  midy_set, midy_check_ppl2 and the CLI scan share
-that route.  midy_check_ppl2 turns a failure's culprit prime into a
-PrimeCertificate; the scan's JSON rows render the same fields from the
-culprit without one.  The cross-check reads the same profile but decides
-by its own rule.  A supplied n_factors is checked against N
+The divisors of L come from order._order_divisors, so L is never
+factored either.  _ppl2_verdicts, the one decider behind midy_set,
+midy_check_ppl2, guel_triple and both CLI scan formats, gives each
+divisor's culprit prime or None; midy_check_ppl2 turns a culprit into a
+PrimeCertificate, and the scan's JSON rows render the same fields
+without one.  The cross-check reads the same profile and divisors but
+decides by its own rule.  A supplied n_factors is checked against N
 (DomainError if it does not multiply back to N or lists a non-prime).
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from . import arith, expansion
 from .arith import Factorization
 from .errors import HypothesisNotApplicableError, PreconditionError
-from .order import ModulusProfile, modulus_profile
+from .order import ModulusProfile, _order_divisors, modulus_profile
 
 __all__ = [
     "GcdCertificate",
@@ -116,40 +117,38 @@ def _allowance(gain: int, k: int, d: int) -> int:
     return (d & -d).bit_length() - 1 + (gain if k % 2 else 0)
 
 
-def _ppl2_verdicts(profile: ModulusProfile, divisors=None):
-    """Yield (d, culprit) for each block count d, read off the profile.
+def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
+    """The culprit of each block count d in divisors, read off the profile.
 
-    divisors defaults to every d > 1 dividing the order, ascending; each
-    must divide the order.  culprit is None exactly when d has the
-    property, else the per_prime entry (p, nu_p(N), ...) of the first
-    prime of N that breaks it, for a PrimeCertificate.
+    Each d must divide the order.  A culprit is None exactly when its d
+    has the property, else the per_prime entry (p, nu_p(N), ...) of the
+    first prime of N that breaks d, for a PrimeCertificate.
 
     A prime p can break d only when ord_p divides k = L/d, that is when
-    d divides M = L/ord_p, so a prime with M == 1 is dropped up front.
-    At odd p, d then breaks exactly when p**nu_p(N) does not divide it,
-    since the allowance there is nu_p(d); p = 2 keeps _allowance, with
-    its gain taken once per profile.
+    d divides M = L/ord_p, so a row whose primes all have M == 1 is
+    decided with no loop over its divisors.  At odd p, d then breaks
+    exactly when p**nu_p(N) does not divide it, since the allowance
+    there is nu_p(d); p = 2 keeps _allowance.  The primes go largest
+    first, so the first one to break d writes its culprit last.
     """
     L = profile.order
-    if divisors is None:
-        divisors = profile.order_factors.divisors()[1:]
-    tests = []
-    gain = 0
-    for entry in profile.per_prime:
+    culprits = [None] * len(divisors)
+    for entry in reversed(profile.per_prime):
         p, nu_n, _, ord_p = entry
-        if ord_p != L:
-            if p == 2:
-                gain = arith.valuation(2, profile.base + 1) - 1
-            tests.append((entry, L // ord_p, None if p == 2 else p**nu_n))
-    for d in divisors:
-        culprit = None
-        for entry, M, pt in tests:
-            if M % d == 0 and (
-                d % pt if pt else entry[1] > _allowance(gain, L // d, d)
-            ):
-                culprit = entry
-                break
-        yield d, culprit
+        if ord_p == L:
+            continue
+        M = L // ord_p
+        if p == 2:
+            gain = arith.valuation(2, profile.base + 1) - 1
+            for i, d in enumerate(divisors):
+                if M % d == 0 and nu_n > _allowance(gain, L // d, d):
+                    culprits[i] = entry
+        else:
+            pt = p**nu_n
+            for i, d in enumerate(divisors):
+                if M % d == 0 and d % pt:
+                    culprits[i] = entry
+    return culprits
 
 
 def _order_escapes(ord_p: int, L: int, d: int, primes) -> bool:
@@ -179,7 +178,7 @@ def midy_check_ppl2(
     """
     profile = modulus_profile(b, N, n_factors=n_factors)
     _check_args(d, profile.order)
-    [(_, culprit)] = _ppl2_verdicts(profile, (d,))
+    [culprit] = _ppl2_verdicts(profile, [d])
     if culprit is None:
         return MidyVerdict(holds=True, method="ppl2")
     p, nu_n = culprit[0], culprit[1]
@@ -206,7 +205,11 @@ def midy_check_ppl3(
     profile = modulus_profile(b, N, n_factors=n_factors)
     L = profile.order
     k = _check_args(d, L)
-    order_primes = profile.order_factors.primes()
+    # A divisor of L above 1 is prime when no smaller prime of L divides it.
+    order_primes: list[int] = []
+    for q in _order_divisors(profile):
+        if all(q % r for r in order_primes):
+            order_primes.append(q)
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
@@ -235,7 +238,9 @@ def midy_set(
 ) -> MidySet:
     """Enumerate every block count d > 1 of the order with the property."""
     profile = modulus_profile(b, N, n_factors=n_factors)
-    members = tuple(d for d, culprit in _ppl2_verdicts(profile) if culprit is None)
+    divisors = _order_divisors(profile)
+    culprits = _ppl2_verdicts(profile, divisors)
+    members = tuple(d for d, culprit in zip(divisors, culprits) if culprit is None)
     return MidySet(base=b, modulus=N, order=profile.order, members=members)
 
 
@@ -259,7 +264,7 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
                 f"not exceeding its exponent in {d}"
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
-    [(_, culprit)] = _ppl2_verdicts(profile, (d,))
+    [culprit] = _ppl2_verdicts(profile, [d])
     d_primes = arith.factor(d).primes()
     stmt_exists = all(
         _order_escapes(ord_p, L, d, d_primes) for _, _, _, ord_p in profile.per_prime

@@ -10,10 +10,10 @@ modulus_profile gathers everything the deciders read about one modulus
 (its factorization, the order, and the orders at each prime and prime
 power) in a single pass, so that deciding many block counts for the same
 N computes none of it twice.  The order mod p comes out of stripping
-primes off p - 1, which leaves its factorization too, and the profile's
-order_factors merges those, so the order itself is never factored.
-order_mod is the order field of that profile, so there is one route to a
-modulus's order data.
+primes off p - 1, which leaves its factorization too, and _order_divisors
+merges those into the order's divisors, so the order itself is never
+factored.  order_mod is the order field of that profile, so there is one
+route to a modulus's order data.
 
 Primality is checked once, where a factorization enters: modulus_profile
 tests each prime of a caller's n_factors, and trusts the ones
@@ -54,34 +54,6 @@ class ModulusProfile(NamedTuple):
     factors: arith.Factorization
     order: int
     per_prime: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def order_factors(self) -> arith.Factorization:
-        """The order's factorization, read off the orders at each prime.
-
-        The order mod p comes with its factorization (a cache hit for the
-        primes of a profile just built), p enters the order mod p**t only
-        by lifting, since the order mod p divides p - 1, and the lcm takes
-        each prime's largest exponent.  Computed on each read, because
-        order_mod, ppl2 on one d, the product criterion and the
-        progression never read it.
-        """
-        exponents: dict[int, int] = {}
-        for p, _, opt, op in self.per_prime:
-            # Each p is new to exponents when its turn comes: the order
-            # at a smaller prime p' has no prime factor above p'.
-            if p == 2:
-                if opt > 1:
-                    exponents[2] = opt.bit_length() - 1
-                continue
-            pairs = iter(_order_mod_prime(self.base % p, p))
-            next(pairs)
-            for q, e in zip(pairs, pairs):
-                if e > exponents.get(q, 0):
-                    exponents[q] = e
-            if opt != op:
-                exponents[p] = arith.valuation(p, opt)
-        return arith.Factorization(sorted(exponents.items()))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -169,6 +141,38 @@ def _profile(b: int, N: int, factors: arith.Factorization) -> ModulusProfile:
         per_prime.append((p, t, opt, op))
         order = math.lcm(order, opt)
     return ModulusProfile(b, N, factors, order, tuple(per_prime))
+
+
+def _order_divisors(profile: ModulusProfile) -> list[int]:
+    """The divisors d > 1 of the profile's order, ascending.
+
+    The order mod p comes factored from _order_mod_prime (a cache hit for
+    the primes of a profile just built), p enters the order mod p**t only
+    by lifting, since the order mod p divides p - 1, and the lcm takes
+    each prime's largest exponent."""
+    exponents: dict[int, int] = {}
+    for p, _, opt, op in profile.per_prime:
+        if p == 2:
+            # The first entry, if any: the order mod 2**t is a power of 2.
+            if opt > 1:
+                exponents[2] = opt.bit_length() - 1
+            continue
+        flat = _order_mod_prime(profile.base % p, p)
+        for i in range(1, len(flat), 2):
+            q = flat[i]
+            if flat[i + 1] > exponents.get(q, 0):
+                exponents[q] = flat[i + 1]
+        if opt != op:
+            # p is new here: the orders at smaller primes lie below p.
+            exponents[p] = arith.valuation(p, opt)
+    divisors = [1]
+    for q, e in exponents.items():
+        block = divisors
+        for _ in range(e):
+            block = [d * q for d in block]
+            divisors += block
+    divisors.sort()
+    return divisors[1:]
 
 
 def modulus_profile(

@@ -29,6 +29,7 @@ from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
+    "PROGRESSION_COUNT_LIMIT",
     "PrimePowerStructure",
     "ProgressionTrace",
     "midy_prime_v1_check",
@@ -40,6 +41,13 @@ __all__ = [
 
 # Maximum number of candidates any single bounded search will examine.
 DEFAULT_SEARCH_BOUND = 10**7
+
+# Most primes prime_progression generates.  Each step's modulus exceeds
+# the last prime, so the primes gain about 7 bits a step and the time
+# grows about as count**5: 100 primes take 1.7 s in base 10 with q = 2,
+# v = 1 and 3.0 s with q = 13, v = 1, 160 primes 16 s, on a 2-vCPU VM
+# (Python 3.11).
+PROGRESSION_COUNT_LIMIT = 100
 
 # The primes below 1000 that is_prime does not trial-divide by: one gcd
 # with their product rules out a candidate P >= 1000 with such a factor.
@@ -268,10 +276,16 @@ def prime_progression(
     Each step takes the least power q**(t*v) above the previous prime
     (q**v first) and the smallest prime congruent to 1 modulo it that
     keeps the property: at most bound for the first step, and among the
-    first bound candidates for each later one.
+    first bound candidates for each later one.  A count past
+    PROGRESSION_COUNT_LIMIT raises BoundedSearchError before any search.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
+    if count > PROGRESSION_COUNT_LIMIT:
+        raise BoundedSearchError(
+            f"count {count} is past the limit of {PROGRESSION_COUNT_LIMIT} primes",
+            PROGRESSION_COUNT_LIMIT,
+        )
     _check_search_args(b, q, v)
     step = q**v
     first = _next_prime_in_progression(b, q, step, (bound - 1) // step, bound)

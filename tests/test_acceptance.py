@@ -54,7 +54,10 @@ def criterion(number: int, label: str):
 
 
 def divisors_above_one(n: int) -> list[int]:
-    return [d for d in arith.factor(n).divisors() if d > 1]
+    divs = [1]
+    for p, e in arith.factor(n):
+        divs = [d * p**j for j in range(e + 1) for d in divs]
+    return sorted(divs)[1:]
 
 
 def test_criterion_1_worked_example_base_10():

@@ -172,13 +172,6 @@ class TestFactor:
             assert f.value == n
             assert all(arith.is_prime(p) for p, _ in f)
 
-    def test_divisors(self):
-        assert arith.factor(12).divisors() == [1, 2, 3, 4, 6, 12]
-        assert arith.factor(1).divisors() == [1]
-        for n in range(1, 500):
-            want = [d for d in range(1, n + 1) if n % d == 0]
-            assert arith.factor(n).divisors() == want
-
     def test_valuation_accessor(self):
         f = arith.factor(360)
         assert f.valuation(2) == 3

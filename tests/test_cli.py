@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -242,6 +243,27 @@ class TestJenkinsCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "formula: holds\n", "")
         assert elapsed < 1
 
+    @pytest.mark.parametrize(
+        "prime,extra,printed",
+        [
+            ("11:10000000", [], "formula: holds\n"),
+            ("11:5000", ["--route", "formula", "--format", "json"], ""),
+        ],
+        ids=["gcd-route", "json"],
+    )
+    def test_modulus_past_the_bit_limit(self, prime, extra, printed):
+        # The gcd route and JSON need N, so both stop before building it:
+        # 4 bits a power of 11, 40,000,000 and 20,000 bits by the bound.
+        proc, elapsed = run_cli_process(
+            ["jenkins", "--base", "10", "--d", "2", "--prime", prime, *extra]
+        )
+        bits = 4 * int(prime.split(":")[1])
+        assert proc.returncode == 3
+        assert proc.stdout == printed
+        assert proc.stderr.startswith(f"error: the modulus may have {bits} bits")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1
+
 
 class TestPrimesCommand:
     def test_progression(self):
@@ -275,6 +297,15 @@ class TestPrimesCommand:
              "--bound", "50"]
         )
         assert code == 3
+
+    def test_count_past_the_limit(self):
+        proc, elapsed = run_cli_process(
+            ["primes", "--base", "10", "--q", "2", "--v", "1", "--count", "3000"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: count 3000 is past the limit of 100 primes\n"
+        assert elapsed < 1
 
 
 class TestScanCommand:
@@ -499,11 +530,25 @@ class TestCertificateJson:
         assert cli._certificate_json(None) is None
 
 
+def divisors_above_one(n):
+    """The divisors d > 1 of n, ascending, expanded from arith.factor(n)."""
+    divs = [1]
+    for p, e in arith.factor(n):
+        divs = [d * p**j for j in range(e + 1) for d in divs]
+    return sorted(divs)[1:]
+
+
+def reference_csv_row(b, n):
+    """A scan's CSV line for n, built from midy_set alone."""
+    result = midy.midy_set(b, n)
+    return f"{n},{b},{result.order},{';'.join(map(str, result.members))}\n"
+
+
 def reference_json_row(b, n):
     """A scan's JSON line for n, built through the public deciders and the
     json encoder rather than the scan's own renderer."""
     result = midy.midy_set(b, n)
-    divisors = arith.factor(result.order).divisors()[1:]
+    divisors = divisors_above_one(result.order)
     excluded = [
         {
             "d": d,
@@ -551,6 +596,16 @@ class TestScanRowJson:
         for b, n in ((10, 27), (7, 10**12 + 2), (10, 3)):
             assert midy.midy_set(b, n).members == ()
             self.assert_rows_match(b, [n])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_base_matches_the_public_deciders(self, fmt):
+        # Every base the CLI accepts, every n <= 200 coprime to it: the
+        # chunk's text against rows built by midy_set, the ppl2
+        # certificates and the divisors of the order expanded here.
+        reference = reference_json_row if fmt == "json" else reference_csv_row
+        for b in range(2, 63):
+            want = "".join(reference(b, n) for n in range(1, 201) if math.gcd(b, n) == 1)
+            assert cli._scan_text((b, 1, 201, fmt)) == want, b
 
 
 class TestScanGolden:

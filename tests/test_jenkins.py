@@ -6,8 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
-from midylab import arith
-from midylab.errors import PreconditionError
+from midylab import arith, jenkins
+from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.jenkins import (
     jenkins_check,
     jenkins_check_gcd,
@@ -71,6 +71,21 @@ class TestChecks:
         huge = jenkins_check(jenkins_instance(10, 2, [(11, 10**7)]))
         assert time.perf_counter() - started < 1
         assert huge is jenkins_check(jenkins_instance(10, 2, [(11, 1)]))
+
+    def test_modulus_bit_limit(self, monkeypatch):
+        # 7 and 13 have 3 and 4 bits: (7, 2), (13, 1) sums to 10.
+        monkeypatch.setattr(jenkins, "MODULUS_BIT_LIMIT", 10)
+        inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
+        assert inst.modulus == 637
+        assert jenkins_check_gcd(inst) is jenkins_check(inst)
+        monkeypatch.setattr(jenkins, "MODULUS_BIT_LIMIT", 9)
+        with pytest.raises(BoundedSearchError) as info:
+            inst.modulus
+        assert info.value.bound == 9
+        with pytest.raises(BoundedSearchError):
+            jenkins_check_gcd(inst)
+        # The formula route never builds N.
+        assert jenkins_check(inst) is True
 
 
 class TestDecomposition:

@@ -12,6 +12,7 @@ from midylab.jenkins import jenkins_check_gcd, jenkins_instance
 from midylab.midy import midy_check_ppl3
 from midylab.order import (
     ModulusProfile,
+    _order_divisors,
     _order_mod_prime,
     lift_valuation,
     modulus_profile,
@@ -259,15 +260,33 @@ class TestOneFactorization:
         assert inst.modulus not in factored
 
 
+def divisors_above_one(n: int) -> list[int]:
+    """The divisors d > 1 of n, ascending, expanded from arith.factor(n)."""
+    divs = [1]
+    for p, e in arith.factor(n):
+        divs = [d * p**j for j in range(e + 1) for d in divs]
+    return sorted(divs)[1:]
+
+
 class TestOrderFactorization:
-    """The profile reads L's factorization off the orders mod p."""
+    """The order's divisors are read off the orders mod p."""
 
     def test_matches_factoring_the_order(self):
         for b in range(2, 63):
             for n in range(1, 2000):
                 if math.gcd(b, n) == 1:
                     prof = modulus_profile(b, n)
-                    assert prof.order_factors == arith.factor(prof.order), (b, n)
+                    want = divisors_above_one(prof.order)
+                    assert _order_divisors(prof) == want, (b, n)
+
+    def test_matches_trial_division(self):
+        # Independent of arith.factor: every d in 2..L that divides L.
+        for b in range(2, 63):
+            for n in range(1, 400):
+                if math.gcd(b, n) == 1:
+                    L = order_mod(b, n)
+                    want = [d for d in range(2, L + 1) if L % d == 0]
+                    assert _order_divisors(modulus_profile(b, n)) == want, (b, n)
 
     def test_semiprimes_near_1e18(self):
         # Two primes near 10**9 each; 1000000006 = 2 * 500000003 leaves a
@@ -276,10 +295,13 @@ class TestOrderFactorization:
             for b in (2, 3, 10, 61):
                 prof = modulus_profile(b, p * q)
                 L = prof.order
-                assert prof.order_factors == arith.factor(L)
-                # L is the order: b**L is 1 and no L / r is.
+                divisors = _order_divisors(prof)
+                assert divisors == divisors_above_one(L)
+                # L is the order: b**L is 1 and no L / r is, r a prime of L,
+                # that is a divisor of L with no smaller divisor above 1.
                 assert pow(b, L, p * q) == 1
-                primes = prof.order_factors.primes()
+                primes = [r for r in divisors if all(r % s for s in divisors if s < r)]
+                assert primes == list(arith.factor(L).primes())
                 assert all(pow(b, L // r, p * q) != 1 for r in primes)
 
     def test_supplied_composite_never_trusted(self):

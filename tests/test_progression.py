@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from midylab import arith
+from midylab import arith, progression
 from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.midy import midy_check_direct, midy_check_ppl2
 from midylab.order import order_mod, order_mod_naive
@@ -193,6 +193,18 @@ class TestProgression:
     def test_count_validation(self):
         with pytest.raises(PreconditionError):
             prime_progression(10, 3, 1, 0)
+
+    def test_count_limit(self, monkeypatch):
+        monkeypatch.setattr(progression, "PROGRESSION_COUNT_LIMIT", 2)
+        assert prime_progression(10, 2, 1, 2).primes == (7, 17)
+
+        def no_search(*args):
+            raise AssertionError("a step was searched")
+
+        monkeypatch.setattr(progression, "_next_prime_in_progression", no_search)
+        with pytest.raises(BoundedSearchError) as info:
+            prime_progression(10, 2, 1, 3)
+        assert info.value.bound == 2
 
 
 def _q_part(q, n):
