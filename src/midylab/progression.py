@@ -43,10 +43,11 @@ __all__ = [
 DEFAULT_SEARCH_BOUND = 10**7
 
 # Most primes prime_progression generates.  Each step's modulus exceeds
-# the last prime, so the primes gain about 7 bits a step and the time
-# grows about as count**5: 100 primes take 1.7 s in base 10 with q = 2,
-# v = 1 and 3.0 s with q = 13, v = 1, 160 primes 16 s, on a 2-vCPU VM
-# (Python 3.11).
+# the last prime, so for small q**v the primes gain about 7 bits a step
+# and the time grows about as count**5: 100 primes take 1.7 s in base 10
+# with q = 2, v = 1 and 3.0 s with q = 13, v = 1, 160 primes 16 s, on a
+# 2-vCPU VM (Python 3.11).  A step gains at least the bits of q**v, so
+# a large q**v is slower per step (q = 2, v = 20: 60 primes in 11.5 s).
 PROGRESSION_COUNT_LIMIT = 100
 
 # The primes below 1000 that is_prime does not trial-divide by: one gcd

@@ -252,8 +252,8 @@ class TestJenkinsCommand:
         ids=["gcd-route", "json"],
     )
     def test_modulus_past_the_bit_limit(self, prime, extra, printed):
-        # The gcd route and JSON need N, so both stop before building it:
-        # 4 bits a power of 11, 40,000,000 and 20,000 bits by the bound.
+        # The gcd route and JSON need N, so both stop before building it.
+        # 11 has 4 bits, so the bound counts 4 * h bits.
         proc, elapsed = run_cli_process(
             ["jenkins", "--base", "10", "--d", "2", "--prime", prime, *extra]
         )
