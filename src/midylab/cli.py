@@ -8,12 +8,10 @@ precondition error, 2 usage error, 3 bounded-search exhaustion.
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
@@ -207,9 +205,9 @@ def _cmd_primes(args, out) -> int:
 
 
 # Rows per scan chunk.  Each chunk is decided and rendered by one call of
-# _scan_text, in a pool worker when --jobs > 1, and written as soon as it
-# is its turn.  Smaller chunks cost more pool round trips; larger ones
-# leave the workers unbalanced on short ranges.
+# _scan_text, in a forked worker when --jobs > 1, and written as soon as
+# it is its turn.  Smaller chunks cost more frames; larger ones leave the
+# workers unbalanced on short ranges.
 SCAN_CHUNK_ROWS = 256
 
 
@@ -254,33 +252,111 @@ def _scan_text(task) -> str:
     )
 
 
+# A scan worker sends each chunk as one frame on its own pipe: a kind
+# byte, the payload's length in decimal and a newline, then the UTF-8
+# payload.  The error that ends a worker is a frame too, so the parent
+# raises it again after writing every chunk before it, as --jobs 1 does.
+_TEXT = b"T"
+_BOUNDED = b"B"  # payload: the bound, a newline, the message
+_DOMAIN = b"M"  # payload: the message of a MidylabError
+
+
+def _write_frame(pipe, kind: bytes, text: str) -> None:
+    data = text.encode()
+    pipe.write(b"%s%d\n" % (kind, len(data)))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _read_frame(pipe) -> str:
+    """The text of the next chunk on pipe, or raise the error it carries."""
+    header = pipe.readline()
+    size = int(header[1:]) if header.endswith(b"\n") else -1
+    data = pipe.read(max(size, 0))
+    if len(data) != size:
+        raise RuntimeError("a scan worker ended before writing its chunk")
+    kind, text = header[:1], data.decode()
+    if kind == _TEXT:
+        return text
+    if kind == _BOUNDED:
+        bound, _, message = text.partition("\n")
+        raise BoundedSearchError(message, int(bound))
+    raise MidylabError(text)
+
+
+def _scan_worker(tasks, fd: int) -> None:
+    """Render tasks in order into frames on fd, stopping at the first error."""
+    with open(fd, "wb") as pipe:
+        try:
+            for task in tasks:
+                _write_frame(pipe, _TEXT, _scan_text(task))
+        except BoundedSearchError as exc:
+            _write_frame(pipe, _BOUNDED, f"{exc.bound}\n{exc}")
+        except MidylabError as exc:
+            _write_frame(pipe, _DOMAIN, str(exc))
+
+
+def _chunks(b: int, starts: range, hi: int, fmt: str):
+    """The _scan_text task of each chunk that starts at a row in starts."""
+    return ((b, a, min(a + SCAN_CHUNK_ROWS, hi), fmt) for a in starts)
+
+
+def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) -> None:
+    """Write the chunks' text to out in order, worker w rendering chunks
+    w, w + workers, ...  A worker blocks once its pipe is full, so the
+    text in memory stays bounded whatever the range or the reader."""
+    pids = []
+    readers = []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child never returns: it must not run the parent's
+                # handlers, nor flush the stdout buffer it inherited,
+                # which may hold the CSV header.
+                status = 1
+                try:
+                    os.close(r)
+                    for reader in readers:
+                        reader.close()
+                    _scan_worker(_chunks(b, starts[w::workers], hi, fmt), fd)
+                    status = 0
+                except BrokenPipeError:
+                    pass  # the parent stopped reading
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(fd)
+            readers.append(open(r, "rb"))
+        for i, _ in enumerate(starts):
+            out.write(_read_frame(readers[i % workers]))
+    finally:
+        # A worker still rendering meets a closed pipe at its next frame.
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def _cmd_scan(args, out) -> int:
     if args.start < 1 or args.stop < args.start:
         raise MidylabError(f"bad scan range [{args.start}, {args.stop}]")
     hi = args.stop + 1
-    n_chunks = -(-(hi - args.start) // SCAN_CHUNK_ROWS)
-    tasks = (
-        (args.base, a, min(a + SCAN_CHUNK_ROWS, hi), args.format)
-        for a in range(args.start, hi, SCAN_CHUNK_ROWS)
-    )
+    starts = range(args.start, hi, SCAN_CHUNK_ROWS)
     if args.format == "csv":
         out.write("n,base,order,midy_set\n")
-    # The pool starts all its workers at once, so never ask for more than
-    # there are chunks or CPUs; with one worker the scan runs in process.
+    # Never start more workers than there are chunks or CPUs; with one
+    # worker, or where os.fork does not exist, the scan runs in process.
+    n_chunks = -(-(hi - args.start) // SCAN_CHUNK_ROWS)
     workers = min(args.jobs, n_chunks, os.cpu_count() or 1)
-    if workers > 1:
-        # At most four chunks per worker are in flight, so neither a long
-        # range nor a slow reader of out makes the parent hold more text.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = collections.deque()
-            for task in tasks:
-                pending.append(pool.submit(_scan_text, task))
-                if len(pending) == 4 * workers:
-                    out.write(pending.popleft().result())
-            for future in pending:
-                out.write(future.result())
+    if workers > 1 and hasattr(os, "fork"):
+        _forked_scan(args.base, starts, hi, args.format, workers, out)
     else:
-        for text in map(_scan_text, tasks):
+        for text in map(_scan_text, _chunks(args.base, starts, hi, args.format)):
             out.write(text)
     return EXIT_OK
 
@@ -396,8 +472,8 @@ def main(argv=None) -> int:
         return args.func(args, sys.stdout)
     except BrokenPipeError:
         # The reader went away (scan | head).  Point stdout at devnull so
-        # the interpreter's last flush has nowhere to fail; the pool was
-        # shut down on the way out of _cmd_scan.
+        # the interpreter's last flush has nowhere to fail; the scan's
+        # workers were reaped on the way out of _cmd_scan.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -30,5 +30,5 @@ class BoundedSearchError(MidylabError, RuntimeError):
 
     def __reduce__(self):
         # The default rebuilds from args alone, which lack bound, so the
-        # error could not cross from a pool worker to the parent.
+        # error would not survive pickling.
         return type(self), (self.args[0], self.bound)

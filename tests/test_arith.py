@@ -192,6 +192,25 @@ class TestFactor:
         assert all(arith.is_prime(p) for p, _ in f)
 
 
+class TestFactorBitLimit:
+    def test_limit_is_checked_before_any_division(self, monkeypatch):
+        monkeypatch.setattr(arith, "FACTOR_BIT_LIMIT", 16)
+        assert arith.factor(2**16 - 1).factors == ((3, 1), (5, 1), (17, 1), (257, 1))
+        monkeypatch.setattr(arith, "_SMALL_PRIMES", None)  # trial division fails
+        with pytest.raises(BoundedSearchError) as info:
+            arith.factor(2**16)
+        assert info.value.bound == 16
+        assert str(info.value) == (
+            "a number of 17 bits is past the factoring limit of 16 bits"
+        )
+
+    def test_default_limit(self):
+        assert (3**323).bit_length() == arith.FACTOR_BIT_LIMIT == 512
+        assert arith.factor(3**323).factors == ((3, 323),)
+        with pytest.raises(BoundedSearchError):
+            arith.factor(2**512)
+
+
 class TestRhoBudget:
     # 1000003 * 1000033 has no factor below 1000; Brent's rho splits it
     # with r doubled up to 256, for 2 * (1 + 2 + ... + 256) = 1022 steps.

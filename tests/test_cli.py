@@ -5,18 +5,16 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
 from midylab import arith, cli, midy
-from midylab.errors import BoundedSearchError
+from midylab.errors import BoundedSearchError, DomainError
 from midylab.midy import GcdCertificate
 from midylab.order import order_mod
 
@@ -69,6 +67,17 @@ class TestOrderCommand:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert elapsed < 2
+
+    def test_modulus_past_the_factoring_limit(self):
+        # Trial division, a Miller-Rabin test on 13,288 bits and rho would
+        # take over 10 s; the bit limit stops factor before any of them.
+        proc, elapsed = run_cli_process(["order", "--base", "2", str(10**4000 + 1)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: a number of 13288 bits is past the factoring limit of 512 bits\n"
+        )
+        assert elapsed < 1
 
 
 class TestExpandCommand:
@@ -307,6 +316,18 @@ class TestPrimesCommand:
         assert proc.stderr == "error: count 3000 is past the limit of 100 primes\n"
         assert elapsed < 1
 
+    def test_bits_past_the_limit(self):
+        # Each step gains at least the 21 bits of 2**20: 60 primes took 11.5 s.
+        proc, elapsed = run_cli_process(
+            ["primes", "--base", "10", "--q", "2", "--v", "20", "--count", "60"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: count 60 times the bits of 2**20 is past the limit of 400\n"
+        )
+        assert elapsed < 1
+
 
 class TestScanCommand:
     def test_csv_shape(self):
@@ -333,23 +354,20 @@ class TestScanCommand:
                 assert item["d"] not in members
                 assert item["certificate"] is not None
 
-    def test_jobs_do_not_change_output(self, monkeypatch):
-        # Four chunks over a real two-process pool, whatever the host's
-        # CPU count.
-        started = []
-
-        class RecordingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_jobs_do_not_change_output(self, forks, monkeypatch):
+        # Four chunks over two forked workers, whatever the host's CPU count.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
         _, seq = run_cli(argv)
         _, par = run_cli(argv + ["--jobs", "2"])
-        assert started == [2]
+        assert forks == [2]
         assert seq == par
+
+    def test_without_fork_the_scan_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(cli.os, "fork")
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
+        assert run_cli(argv + ["--jobs", "2"]) == (0, serial_scan(tuple(argv)))
 
     def test_bad_range(self):
         for fmt in ("csv", "json"):
@@ -376,13 +394,13 @@ class TestScanCommand:
             (2, 100, 64, 2),
         ],
     )
-    def test_worker_cap(self, inline_pool, monkeypatch, jobs, chunks, cpus, want):
+    def test_worker_cap(self, forks, monkeypatch, jobs, chunks, cpus, want):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         stop = 1 + chunks * cli.SCAN_CHUNK_ROWS  # n = 2 .. stop, full chunks
         argv = ["scan", "--base", "10", "--from", "2", "--to", str(stop)]
         code, pooled = run_cli(argv + ["--jobs", str(jobs)])
         assert code == 0
-        assert inline_pool == ([want] if want > 1 else [])
+        assert forks == ([want] if want > 1 else [])
         assert pooled == serial_scan(tuple(argv))
 
 
@@ -392,70 +410,71 @@ def serial_scan(argv):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the scan's process pool with an in-process stand-in.
+def forks(monkeypatch):
+    """Record how many workers each forked scan starts, in a list."""
+    started = []
+    fork, forked_scan = os.fork, cli._forked_scan
 
-    The stand-in runs each chunk when it is submitted, so no process
-    starts and counters in the test process see every row.  Returns the
-    list of worker counts it was asked for.
-    """
-    asked = []
+    def counting_fork():
+        started[-1] += 1
+        return fork()
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def recording_scan(*args):
+        started.append(0)
+        return forked_scan(*args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    return asked
+    monkeypatch.setattr(cli.os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_forked_scan", recording_scan)
+    return started
 
 
 class TestScanStreaming:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_written_before_the_last_row_is_decided(
-        self, inline_pool, monkeypatch, jobs, fmt
+        self, forks, monkeypatch, tmp_path, jobs, fmt
     ):
-        decided = 0
+        # Each decided row appends a byte to a log that forked workers
+        # share, and brings a 1,000-byte line after it: a chunk is then
+        # larger than a pipe holds, so a worker waits for the parent to
+        # read each chunk before it renders the next.
+        log = tmp_path / "decided"
+        log.write_bytes(b"")
+        pad = "#" * 999 + "\n"
         scan_row = cli._scan_row
 
-        def counting_row(*args):
-            nonlocal decided
-            decided += 1
-            return scan_row(*args)
+        def logged_row(*args):
+            with open(log, "ab") as f:
+                f.write(b".")
+            return scan_row(*args) + pad
 
         writes = []  # (rows decided so far, text) per write
 
         class RecordingStream:
             def write(self, text):
-                writes.append((decided, text))
+                writes.append((log.stat().st_size, text))
 
-        monkeypatch.setattr(cli, "_scan_row", counting_row)
+        monkeypatch.setattr(cli, "_scan_row", logged_row)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        # 12 chunks: more than the 8 that two workers keep in flight.
+        # 12 chunks: many more than two workers can hold at once.
         argv = ["scan", "--base", "10", "--from", "2", "--to", "3000",
                 "--format", fmt, "--jobs", str(jobs)]
         monkeypatch.setattr(sys, "stdout", RecordingStream())
         assert cli.main(argv) == 0
         monkeypatch.undo()
 
-        assert inline_pool == ([2] if jobs == 2 else [])
-        assert "".join(text for _, text in writes) == serial_scan(tuple(argv[:-2]))
+        assert forks == ([2] if jobs == 2 else [])
+        header, rows = ("", serial_scan(tuple(argv[:-2])).splitlines(True))
         if fmt == "csv":
-            assert writes[0] == (0, "n,base,order,midy_set\n")
+            header, rows = rows[0], rows[1:]
+            assert writes[0] == (0, header)
             writes = writes[1:]
+        assert header + "".join(text for _, text in writes) == header + "".join(
+            row + pad for row in rows
+        )
         assert len(writes) == 12  # one per chunk
-        assert decided == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
+        decided = log.stat().st_size
+        assert decided == len(rows) == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
         assert writes[0][0] < decided
 
 
@@ -470,17 +489,92 @@ class TestScanBudget:
     def test_rho_budget_in_a_scan_exits_3(self, monkeypatch, capsys, jobs):
         # The first chunk near 10**12 has rows with two prime factors above
         # 1000, which only rho splits.  At jobs 2 the error is raised in a
-        # pool worker, forked so that it inherits the patched limit, and
-        # has to reach the parent whole.
+        # forked worker, which inherits the patched limit, and has to
+        # reach the parent whole.
         monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         code, out = run_cli(["scan", "--base", "7", "--from", "1000000000001",
                              "--to", "1000000000600", "--jobs", str(jobs)])
         assert code == 3
         assert out == "n,base,order,midy_set\n"
         assert capsys.readouterr().err.startswith("error: no factor of ")
+
+    @pytest.mark.parametrize(
+        "error",
+        [BoundedSearchError("out of budget", 5), DomainError("no such row")],
+        ids=["bounded", "domain"],
+    )
+    def test_a_worker_error_ends_the_scan_as_at_jobs_1(self, monkeypatch, capsys, error):
+        # n = 1001 is in the fourth chunk, 770..1025, which the second
+        # worker renders; the three before it are written whole.
+        scan_row = cli._scan_row
+
+        def failing_row(b, n, factors, fmt):
+            if n == 1001:
+                raise error
+            return scan_row(b, n, factors, fmt)
+
+        monkeypatch.setattr(cli, "_scan_row", failing_row)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
+        seen = []
+        for jobs in ("1", "2"):
+            seen.append((*run_cli(argv + ["--jobs", jobs]), capsys.readouterr().err))
+        assert seen[0] == seen[1]
+        code, out, err = seen[0]
+        assert code == (3 if isinstance(error, BoundedSearchError) else 1)
+        assert out.splitlines()[-1].startswith("769,")
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [(cli._BOUNDED, "5\nout of\nbudget"), (cli._DOMAIN, "bad row")],
+        ids=["bounded", "domain"],
+    )
+    def test_error_frames_carry_the_error(self, kind, text):
+        pipe = io.BytesIO()
+        cli._write_frame(pipe, cli._TEXT, "3,10,1,\n")
+        cli._write_frame(pipe, kind, text)
+        pipe.seek(0)
+        assert cli._read_frame(pipe) == "3,10,1,\n"
+        with pytest.raises(cli.MidylabError) as info:
+            cli._read_frame(pipe)
+        if kind == cli._BOUNDED:
+            assert type(info.value) is BoundedSearchError
+            assert (str(info.value), info.value.bound) == ("out of\nbudget", 5)
+        else:
+            assert str(info.value) == "bad row"
+        with pytest.raises(RuntimeError):
+            cli._read_frame(pipe)  # the worker ended without a frame
+
+
+class TestScanWorkerCrash:
+    def test_unexpected_exception_ends_the_scan(self):
+        # A bug in a worker: the scan ends with a nonzero exit instead of
+        # waiting for a chunk that never comes, and the child, which
+        # inherited the parent's stdout buffer, does not print the
+        # header again.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys\n"
+            "from midylab import cli\n"
+            "def boom(*args):\n"
+            "    raise ZeroDivisionError('boom')\n"
+            "cli._scan_row = boom\n"
+            "cli.os.cpu_count = lambda: 2\n"
+            "sys.exit(cli.main(['scan', '--base', '10', '--from', '2',"
+            " '--to', '100000', '--jobs', '2']))\n"
+        )
+        # Buffered stdout, so that the header is still in the buffer at fork.
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=20)
+        assert time.monotonic() - start < 5
+        assert proc.returncode != 0
+        assert proc.stdout == "n,base,order,midy_set\n"
+        assert "ZeroDivisionError: boom" in proc.stderr
 
 
 class TestScanBrokenPipe:

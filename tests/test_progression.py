@@ -206,6 +206,26 @@ class TestProgression:
             prime_progression(10, 2, 1, 3)
         assert info.value.bound == 2
 
+    def test_bit_limit(self, monkeypatch):
+        # 3 * (2**2).bit_length() = 9 and 2 * (3**2).bit_length() = 8.
+        monkeypatch.setattr(progression, "PROGRESSION_BIT_LIMIT", 9)
+        assert len(prime_progression(10, 2, 2, 3).primes) == 3
+        assert len(prime_progression(10, 3, 2, 2).primes) == 2
+
+        def no_search(*args):
+            raise AssertionError("a step was searched")
+
+        monkeypatch.setattr(progression, "_next_prime_in_progression", no_search)
+        for q, v, count in [(2, 2, 4), (3, 2, 3), (2, 9, 1), (3, 10**12, 1)]:
+            with pytest.raises(BoundedSearchError) as info:
+                prime_progression(10, q, v, count)
+            assert info.value.bound == 9
+
+    def test_default_limits_keep_100_primes_for_small_moduli(self):
+        for qv in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            assert 100 * qv.bit_length() <= progression.PROGRESSION_BIT_LIMIT
+        assert progression.PROGRESSION_COUNT_LIMIT == 100
+
 
 def _q_part(q, n):
     """q**nu_q(n)."""

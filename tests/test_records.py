@@ -109,16 +109,28 @@ class TestFactorization:
             arith.Factorization(iter([(7, 1), (2, 1)]))
 
 
-def test_import_loads_no_dataclasses():
+def loaded_by_import(names):
+    """The modules of names that importing midylab and midylab.cli loads."""
     # -S: no site hook may load a module before the package does.
     src = os.path.dirname(os.path.dirname(os.path.abspath(midylab.__file__)))
     code = (
         "import sys, midylab, midylab.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {sorted(names)!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_loads_no_dataclasses():
+    assert loaded_by_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_loads_no_process_machinery():
+    # The scan forks its workers with os.fork; no command pays at start-up
+    # for an executor, its pickling or its threads.
+    names = {"concurrent", "multiprocessing", "pickle", "threading"}
+    assert loaded_by_import(names) == "[]\n"
