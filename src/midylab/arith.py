@@ -248,8 +248,8 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 # Most bits of a number factor accepts.  Rho's step budget costs more the
 # longer the number: on a 2-vCPU VM (Python 3.11) a balanced semiprime
 # ends in BoundedSearchError after 0.8 s at 128 bits, 1.3 s at 256, 3.2 s
-# at 512 and 8.9 s at 1024 bits.  A larger n raises at once, before the
-# trial division, the Miller-Rabin test and rho each take seconds.
+# at 512 and 8.9 s at 1024 bits.  A larger n raises at once, where trial
+# division, the Miller-Rabin test and rho could each take seconds.
 FACTOR_BIT_LIMIT = 512
 
 

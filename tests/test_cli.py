@@ -504,7 +504,9 @@ class TestScanBudget:
         [BoundedSearchError("out of budget", 5), DomainError("no such row")],
         ids=["bounded", "domain"],
     )
-    def test_a_worker_error_ends_the_scan_as_at_jobs_1(self, monkeypatch, capsys, error):
+    def test_a_worker_error_ends_the_scan_as_at_jobs_1(
+        self, monkeypatch, capsys, error
+    ):
         # n = 1001 is in the fourth chunk, 770..1025, which the second
         # worker renders; the three before it are written whole.
         scan_row = cli._scan_row
