@@ -4,10 +4,22 @@ Everything operates on plain Python ints (arbitrary precision, never
 negative here); gcds and modular powers are math.gcd and pow.  All
 functions are pure; nothing in this module keeps state between calls.
 
-factor factors one number by trial division below 1000 and Brent's rho
-beyond; _factor_lists factors a whole window of consecutive numbers with
-one sieve by the same small primes, so a range scan never trial-divides
-a number on its own.  Both give the same factors for every n.
+is_prime is a strong-pseudoprime (Miller-Rabin) test whose bases grow
+with n: below psi_k, the least strong pseudoprime to the first k prime
+bases, those k bases prove primality.  psi_2..psi_4 are from Pomerance,
+Selfridge and Wagstaff (Math. Comp. 35, 1980), psi_5..psi_8 from
+Jaeschke ("On strong pseudoprimes to several bases", Math. Comp. 61,
+1993), psi_9..psi_11 from Jiang and Deng (Math. Comp. 83, 2014), and
+psi_12, psi_13 from Sorenson and Webster ("Strong pseudoprimes to twelve
+prime bases", Math. Comp. 86, 2017).  From psi_13 =
+MILLER_RABIN_PROVEN_BOUND on, the verdict rests on 25 bases and is no
+proof; is_prime_proven says which.
+
+factor takes out every prime below 1000 with one gcd against their
+product and Brent's rho finds the rest; _factor_lists factors a whole
+window of consecutive numbers with one sieve by the same small primes,
+so a range scan never trial-divides a number on its own.  Both give the
+same factors for every n.
 """
 
 from __future__ import annotations
@@ -61,18 +73,37 @@ def valuation(p: int, n: int) -> int:
 # Primality
 # ---------------------------------------------------------------------------
 
-# Below this bound the 12-base Miller-Rabin test is a proven deterministic
-# primality test; above it the same bases give an extremely strong
-# probable-prime test but no proof.  Query is_prime_proven() for the caveat.
-MILLER_RABIN_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k prime bases, and k:
+# below psi_k those k bases prove n prime.  psi_7 = psi_8 and psi_9 =
+# psi_10 = psi_11, so tiers 8, 10 and 11 add nothing.  Each psi_k passes
+# its k bases and fails those of the next tier.  Sources in the module
+# docstring.
+_MR_TIERS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# psi_13: below it is_prime is a proof; above it the 13 bases and
+# _EXTRA_BASES give an extremely strong probable-prime test but no proof.
+# Query is_prime_proven() for the caveat.
+MILLER_RABIN_PROVEN_BOUND = _MR_TIERS[-1][0]
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 _SMALL_PRIME_LIMIT = 1000
 
-# is_prime divides these out before Miller-Rabin.
+# is_prime rules these out before Miller-Rabin, with one gcd against
+# their product.
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _sieve(limit: int) -> list[int]:
@@ -86,24 +117,23 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# The product of the 168 primes below 1000, for factor's one gcd.
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    """Strong probable-prime test of odd n > 2 to each of bases, every
+    one of them in 1..n - 1."""
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
     for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -113,20 +143,20 @@ def _miller_rabin(n: int, bases) -> bool:
 def is_prime(n: int) -> bool:
     """Exact primality verdict for n < MILLER_RABIN_PROVEN_BOUND.
 
-    Above that bound the verdict comes from a fixed-base strong
+    Below 1000 a table answers; above, a factor up to 37 rules n out, and
+    the Miller-Rabin bases of the least tier psi_k above n prove the
+    rest.  Above the last tier the verdict comes from a fixed-base strong
     probable-prime test: false positives are not known to exist but are
     not excluded by proof.  is_prime_proven(n) reports which regime n
     falls in.
     """
-    if n < 2:
-        return False
     if n < _SMALL_PRIME_LIMIT:
         return n in _SMALL_PRIME_SET
-    for p in _TRIAL_PRIMES:
-        if n % p == 0:
-            return False
-    if n < MILLER_RABIN_PROVEN_BOUND:
-        return _miller_rabin(n, _MR_BASES)
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return False
+    for psi, k in _MR_TIERS:
+        if n < psi:
+            return _miller_rabin(n, _MR_BASES[:k])
     return _miller_rabin(n, _MR_BASES + _EXTRA_BASES)
 
 
@@ -220,7 +250,7 @@ def _rho_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -256,9 +286,10 @@ FACTOR_BIT_LIMIT = 512
 def factor(n: int) -> Factorization:
     """Canonical factorization of n >= 1, deterministic for a given n.
 
-    Trial division by primes below 1000, then Brent's cycle method with a
-    deterministic parameter schedule on whatever composite remains.  An
-    n of more than FACTOR_BIT_LIMIT bits raises BoundedSearchError.
+    The primes below 1000 come from one gcd with their product, then
+    Brent's cycle method with a deterministic parameter schedule splits
+    whatever composite remains.  An n of more than FACTOR_BIT_LIMIT bits
+    raises BoundedSearchError.
     """
     if n < 1:
         raise DomainError("factor requires n >= 1")
@@ -268,19 +299,39 @@ def factor(n: int) -> Factorization:
             f"of {FACTOR_BIT_LIMIT} bits",
             FACTOR_BIT_LIMIT,
         )
-    found: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            found[p] = found.get(p, 0) + 1
+    found: list[tuple[int, int]] = []
+    g = math.gcd(n, _SMALL_PRIME_PRODUCT)
+    if g > 1:
+        # g is squarefree, so once p * p > g what is left of it is prime.
+        for p in _SMALL_PRIMES:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                n, e = _divide_out(n, p)
+                found.append((p, e))
+        if g > 1:
+            n, e = _divide_out(n, g)
+            found.append((g, e))
+    # n has no prime factor below 1000 now, so below 10**6 it is prime.
     if n > 1:
         if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT or is_prime(n):
-            found[n] = found.get(n, 0) + 1
+            found.append((n, 1))
         else:
-            _factor_into(n, found)
-    return Factorization(sorted(found.items()))
+            big: dict[int, int] = {}
+            _factor_into(n, big)
+            found.extend(sorted(big.items()))
+    return Factorization(found)
+
+
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """(n / p**e, e) for the e = nu_p(n) >= 1 of a prime p dividing n."""
+    n //= p
+    e = 1
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:

@@ -93,6 +93,15 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
         raise PreconditionError("at least one (prime, exponent) pair required")
     seen = set()
     for p, h in pairs:
+        # order_mod(b, p) factors p - 1, which has as many bits as p, so
+        # a p past the factoring limit is refused before is_prime, which
+        # takes seconds on thousands of bits.
+        if p.bit_length() > arith.FACTOR_BIT_LIMIT:
+            raise BoundedSearchError(
+                f"a prime of {p.bit_length()} bits is past the factoring "
+                f"limit of {arith.FACTOR_BIT_LIMIT} bits",
+                arith.FACTOR_BIT_LIMIT,
+            )
         if not arith.is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         if h < 1:

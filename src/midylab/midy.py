@@ -128,8 +128,13 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
     d divides M = L/ord_p, so a row whose primes all have M == 1 is
     decided with no loop over its divisors.  At odd p, d then breaks
     exactly when p**nu_p(N) does not divide it, since the allowance
-    there is nu_p(d); p = 2 keeps _allowance.  The primes go largest
-    first, so the first one to break d writes its culprit last.
+    there is nu_p(d).  At p = 2 (M = L) the same power test decides
+    _allowance: with t = nu_2(N) and v = nu_2(L), an even d with
+    s = nu_2(d) holds when s >= t, or when s == v (k odd) and t <= v +
+    gain.  So d holds exactly when it is even and, for t <= v + gain,
+    2**min(t, v) divides it; for a larger t no d holds, and 2**(v + 1)
+    divides none.  The primes go largest first, so the first one to
+    break d writes its culprit last.
     """
     L = profile.order
     culprits = [None] * len(divisors)
@@ -139,15 +144,14 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
             continue
         M = L // ord_p
         if p == 2:
+            v = (L & -L).bit_length() - 1
             gain = arith.valuation(2, profile.base + 1) - 1
-            for i, d in enumerate(divisors):
-                if M % d == 0 and nu_n > _allowance(gain, L // d, d):
-                    culprits[i] = entry
+            pt = 2 ** max(1, min(nu_n, v) if nu_n <= v + gain else v + 1)
         else:
             pt = p**nu_n
-            for i, d in enumerate(divisors):
-                if M % d == 0 and d % pt:
-                    culprits[i] = entry
+        for i, d in enumerate(divisors):
+            if M % d == 0 and d % pt:
+                culprits[i] = entry
     return culprits
 
 

@@ -59,8 +59,9 @@ PROGRESSION_COUNT_LIMIT = 100
 # primes of up to 386 bits in 0.06 s).
 PROGRESSION_BIT_LIMIT = 400
 
-# The primes below 1000 that is_prime does not trial-divide by: one gcd
-# with their product rules out a candidate P >= 1000 with such a factor.
+# The primes below 1000 past is_prime's own gcd with the primes up to 37:
+# one gcd with their product rules out a candidate P >= 1000 with such a
+# factor.
 _PRIMES_41_TO_997 = math.prod(p for p in _SMALL_PRIMES if p > _TRIAL_PRIMES[-1])
 
 
@@ -297,17 +298,19 @@ def prime_progression(
             f"count {count} is past the limit of {PROGRESSION_COUNT_LIMIT} primes",
             PROGRESSION_COUNT_LIMIT,
         )
-    _check_search_args(b, q, v)
+    # Checked before is_prime(q), which takes seconds on thousands of bits.
     # q**v has more than v bits, so a huge v is refused before q**v is built.
-    if (
+    if v >= 1 and (
         count * v >= PROGRESSION_BIT_LIMIT
         or count * (q**v).bit_length() > PROGRESSION_BIT_LIMIT
     ):
+        shown = q if q.bit_length() <= 64 else f"(a {q.bit_length()}-bit q)"
         raise BoundedSearchError(
-            f"count {count} times the bits of {q}**{v} is past the limit of "
+            f"count {count} times the bits of {shown}**{v} is past the limit of "
             f"{PROGRESSION_BIT_LIMIT}",
             PROGRESSION_BIT_LIMIT,
         )
+    _check_search_args(b, q, v)
     step = q**v
     first = _next_prime_in_progression(b, q, step, (bound - 1) // step, bound)
     steps = [(step, first)]

@@ -148,6 +148,50 @@ class TestIsPrime:
         assert arith.is_prime_proven(2**64)
         assert not arith.is_prime_proven(10**25)
 
+    def test_matches_a_sieve_below_two_million(self):
+        limit = 2 * 10**6
+        flags = bytearray([1]) * limit
+        flags[0:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(limit - 1) + 1):
+            if flags[i]:
+                flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+        wrong = [n for n in range(limit) if arith.is_prime(n) != flags[n]]
+        assert wrong == []
+
+
+class TestMillerRabinTiers:
+    """Each tier's bound psi_k is the least strong pseudoprime to the
+    first k prime bases; is_prime must give it more bases than k."""
+
+    @pytest.mark.parametrize(
+        "psi,k", arith._MR_TIERS, ids=[f"psi{k}" for _, k in arith._MR_TIERS]
+    )
+    def test_bound_passes_its_bases_and_is_composite(self, psi, k):
+        assert arith._miller_rabin(psi, arith._MR_BASES[:k])
+        # is_prime gives psi the next tier's bases, and a base that fails
+        # the strong test proves psi composite.
+        assert arith.is_prime(psi) is False
+
+    def test_missing_tiers_share_their_bound(self):
+        # psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+        assert arith._miller_rabin(341_550_071_728_321, arith._MR_BASES[:8])
+        assert arith._miller_rabin(3_825_123_056_546_413_051, arith._MR_BASES[:11])
+
+    def test_twelve_bases_are_no_proof_at_psi12(self):
+        # 399165290221 * 798330580441; base 41 witnesses it.
+        n = 318665857834031151167461
+        assert n < arith.MILLER_RABIN_PROVEN_BOUND
+        assert arith._miller_rabin(n, arith._MR_BASES[:12])
+        assert arith.is_prime(n) is False
+        assert arith.factor(n).factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_tiers_increase_up_to_the_proven_bound(self):
+        bounds = [psi for psi, _ in arith._MR_TIERS]
+        assert bounds == sorted(bounds)
+        assert bounds[-1] == arith.MILLER_RABIN_PROVEN_BOUND
+        assert [k for _, k in arith._MR_TIERS] == [2, 3, 4, 5, 6, 7, 9, 12, 13]
+        assert len(arith._MR_BASES + arith._EXTRA_BASES) == 25
+
 
 class TestFactor:
     def test_examples(self):

@@ -274,6 +274,21 @@ class TestJenkinsCommand:
         assert elapsed < 1
 
 
+    def test_prime_past_the_factoring_limit(self):
+        # is_prime(2**3217 - 1), a Mersenne prime, took 3.4 s here before
+        # factor refused p - 1.
+        proc, elapsed = run_cli_process(
+            ["jenkins", "--base", "10", "--d", "2", "--prime",
+             f"{2**3217 - 1}:1", "--route", "formula"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: a prime of 3217 bits is past the factoring limit of 512 bits\n"
+        )
+        assert elapsed < 1
+
+
 class TestPrimesCommand:
     def test_progression(self):
         code, out = run_cli(
@@ -325,6 +340,21 @@ class TestPrimesCommand:
         assert proc.stdout == ""
         assert proc.stderr == (
             "error: count 60 times the bits of 2**20 is past the limit of 400\n"
+        )
+        assert elapsed < 1
+
+
+    def test_huge_q_is_refused_before_its_primality_test(self):
+        # is_prime(2**4423 - 1), a Mersenne prime, took 7.5 s here.
+        proc, elapsed = run_cli_process(
+            ["primes", "--base", "10", "--q", str(2**4423 - 1), "--v", "1",
+             "--count", "1"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: count 1 times the bits of (a 4423-bit q)**1 is past the "
+            "limit of 400\n"
         )
         assert elapsed < 1
 

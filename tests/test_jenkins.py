@@ -42,6 +42,25 @@ class TestInstance:
             jenkins_instance(10, 1, [(7, 1)])
 
 
+    def test_prime_past_the_factoring_limit(self, monkeypatch):
+        # order_mod(b, p) factors p - 1, so such a p is refused before
+        # is_prime looks at it.
+        monkeypatch.setattr(arith, "FACTOR_BIT_LIMIT", 4)
+        assert jenkins_instance(10, 2, [(11, 1)]).orders == (2,)
+
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(arith, "is_prime", no_test)
+        for p in (17, 21):
+            with pytest.raises(BoundedSearchError) as info:
+                jenkins_instance(10, 2, [(p, 1), (11, 1)])
+            assert info.value.bound == 4
+            assert str(info.value) == (
+                "a prime of 5 bits is past the factoring limit of 4 bits"
+            )
+
+
 class TestChecks:
     @pytest.mark.parametrize(
         "b,d,pp,want",

@@ -245,6 +245,31 @@ class TestMidySet:
             midy_set(10, 0)
 
 
+class TestEvenPrime:
+    """The even prime is decided by a power of two, like the odd ones."""
+
+    def test_odd_order_keeps_no_member(self):
+        # L = 3 is odd, so no block count carries the 2 of N = 38.
+        assert midy_set(7, 38) == (7, 38, 3, ())
+
+    def test_matches_ppl3_on_every_base(self):
+        # Only even N reach the even prime, and only odd bases are coprime
+        # to them; criterion 10 covers odd N.
+        mismatches = []
+        for b in range(3, 63, 2):
+            for n in range(2, 1500, 2):
+                if math.gcd(b, n) != 1:
+                    continue
+                s = midy_set(b, n)
+                want = tuple(
+                    d for d in range(2, s.order + 1)
+                    if s.order % d == 0 and midy_check_ppl3(b, n, d).holds
+                )
+                if s.members != want:
+                    mismatches.append((b, n))
+        assert mismatches == []
+
+
 class TestAgainstOracle:
     def test_three_way_small(self):
         for b in (3, 8, 16):

@@ -221,6 +221,33 @@ class TestProgression:
                 prime_progression(10, q, v, count)
             assert info.value.bound == 9
 
+    def test_bit_limit_comes_before_the_primality_test(self, monkeypatch):
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(arith, "is_prime", no_test)
+        q = 2**100 - 1  # composite, but refused by size first
+        with pytest.raises(BoundedSearchError) as info:
+            prime_progression(10, q, 5, 1)
+        assert info.value.bound == progression.PROGRESSION_BIT_LIMIT
+        assert str(info.value) == (
+            "count 1 times the bits of (a 100-bit q)**5 is past the limit of 400"
+        )
+        with pytest.raises(BoundedSearchError) as info:
+            prime_progression(10, 2**61 - 1, 7, 1)
+        assert str(info.value) == (
+            "count 1 times the bits of 2305843009213693951**7 is past the "
+            "limit of 400"
+        )
+        monkeypatch.undo()
+        # Inside the limit the argument checks still come first.
+        with pytest.raises(PreconditionError, match="is not prime"):
+            prime_progression(10, 2**100 - 1, 1, 1)
+        with pytest.raises(PreconditionError, match="v must be >= 1"):
+            prime_progression(10, 3, 0, 1)
+        with pytest.raises(PreconditionError, match="v must be >= 1"):
+            prime_progression(10, 3, -2, 1)
+
     def test_default_limits_keep_100_primes_for_small_moduli(self):
         for qv in (2, 3, 4, 5, 7, 8, 9, 11, 13):
             assert 100 * qv.bit_length() <= progression.PROGRESSION_BIT_LIMIT
