@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from . import arith
-from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES
+from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES, _TRIAL_PRODUCT
 from .errors import BoundedSearchError, PreconditionError
 from .midy import midy_check_ppl2
 from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
@@ -259,7 +259,7 @@ def _next_prime_in_progression(
     proves it composite, or prime with the property; is_prime decides
     only what the base leaves open.  Nothing is factored.
     """
-    coprime_to = b * math.prod(_TRIAL_PRIMES)
+    coprime_to = b * _TRIAL_PRODUCT
     for j in range(1, last + 1):
         P = j * modulus + 1
         if P < _SMALL_PRIME_LIMIT:
@@ -289,7 +289,8 @@ def prime_progression(
     keeps the property: at most bound for the first step, and among the
     first bound candidates for each later one.  A count past
     PROGRESSION_COUNT_LIMIT, or count * (q**v).bit_length() past
-    PROGRESSION_BIT_LIMIT, raises BoundedSearchError before any search.
+    PROGRESSION_BIT_LIMIT, raises BoundedSearchError before any search
+    and before q's primality test.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")

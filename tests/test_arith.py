@@ -189,7 +189,6 @@ class TestMillerRabinTiers:
         bounds = [psi for psi, _ in arith._MR_TIERS]
         assert bounds == sorted(bounds)
         assert bounds[-1] == arith.MILLER_RABIN_PROVEN_BOUND
-        assert [k for _, k in arith._MR_TIERS] == [2, 3, 4, 5, 6, 7, 9, 12, 13]
         assert len(arith._MR_BASES + arith._EXTRA_BASES) == 25
 
 
