@@ -273,10 +273,9 @@ class TestJenkinsCommand:
         assert "Traceback" not in proc.stderr
         assert elapsed < 1
 
-
     def test_prime_past_the_factoring_limit(self):
-        # is_prime(2**3217 - 1), a Mersenne prime, took 3.4 s here before
-        # factor refused p - 1.
+        # is_prime(2**3217 - 1), a Mersenne prime, took 3.4 s on a 2-vCPU
+        # VM when it ran before factor refused p - 1.
         proc, elapsed = run_cli_process(
             ["jenkins", "--base", "10", "--d", "2", "--prime",
              f"{2**3217 - 1}:1", "--route", "formula"]
@@ -343,9 +342,9 @@ class TestPrimesCommand:
         )
         assert elapsed < 1
 
-
     def test_huge_q_is_refused_before_its_primality_test(self):
-        # is_prime(2**4423 - 1), a Mersenne prime, took 7.5 s here.
+        # is_prime(2**4423 - 1), a Mersenne prime, took 7.5 s on a 2-vCPU
+        # VM when it ran before the bit limit.
         proc, elapsed = run_cli_process(
             ["primes", "--base", "10", "--q", str(2**4423 - 1), "--v", "1",
              "--count", "1"]

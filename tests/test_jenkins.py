@@ -41,7 +41,6 @@ class TestInstance:
         with pytest.raises(PreconditionError):
             jenkins_instance(10, 1, [(7, 1)])
 
-
     def test_prime_past_the_factoring_limit(self, monkeypatch):
         # order_mod(b, p) factors p - 1, so such a p is refused before
         # is_prime looks at it.
