@@ -2,7 +2,9 @@
 
 Everything operates on plain Python ints (arbitrary precision, never
 negative here); gcds and modular powers are math.gcd and pow.  All
-functions are pure; nothing in this module keeps state between calls.
+functions are pure; nothing in this module keeps state between calls
+but the table of primes below SIEVE_PRIME_LIMIT, built once on first
+need.
 
 is_prime is a strong-pseudoprime (Miller-Rabin) test whose bases grow
 with n: below psi_k, the least strong pseudoprime to the first k prime
@@ -16,14 +18,18 @@ MILLER_RABIN_PROVEN_BOUND on, the verdict rests on 25 bases and is no
 proof; is_prime_proven says which.
 
 factor takes out every prime below 1000 with one gcd against their
-product and Brent's rho finds the rest; _factor_lists factors a whole
-window of consecutive numbers with one sieve by the same small primes,
-so a range scan never trial-divides a number on its own.  Both give the
-same factors for every n.
+product and Brent's rho finds the rest.  _factor_lists factors a whole
+window of consecutive numbers with one sieve by every prime up to the
+square root of its top, but none of SIEVE_PRIME_LIMIT = 10**5 or more,
+so a range scan never trial-divides a number on its own, and below
+10**10 it never runs a primality test or rho.  Both give the same
+factors for every n.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 from .errors import BoundedSearchError, DomainError
@@ -106,19 +112,40 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int):
+    """The primes below limit, ascending, by the sieve of Eratosthenes."""
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(limit) if flags[i]]
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return itertools.compress(range(limit), flags)
 
 
-_SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
+_SMALL_PRIMES = tuple(_sieve(_SMALL_PRIME_LIMIT))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # The product of the 168 primes below 1000, for factor's one gcd.
 _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
+
+# _factor_lists sieves a window by every prime below this bound, up to the
+# square root of the window's top.  Deeper tables sieve slower than the
+# Miller-Rabin tests and rho they save.
+SIEVE_PRIME_LIMIT = 10**5
+
+
+@functools.cache
+def _prime_gaps() -> bytes:
+    """The gaps between 0 and the primes below SIEVE_PRIME_LIMIT, one byte
+    each (none exceeds 72), so accumulate(_prime_gaps()) yields the 9,592
+    primes.  9.6 kB and no module to import: importing array for a 4-byte
+    table took 0.56 MB of peak RSS in a forked scan worker (Python 3.11,
+    Linux)."""
+    gaps = bytearray()
+    last = 0
+    for p in _sieve(SIEVE_PRIME_LIMIT):
+        gaps.append(p - last)
+        last = p
+    return bytes(gaps)
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -313,9 +340,10 @@ def factor(n: int) -> Factorization:
         if g > 1:
             n, e = _divide_out(n, g)
             found.append((g, e))
-    # n has no prime factor below 1000 now, so below 10**6 it is prime.
+    # n has no prime factor below 1000 now, so below 10**6 it is prime;
+    # _factor_into tests a larger n itself.
     if n > 1:
-        if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT or is_prime(n):
+        if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
             found.append((n, 1))
         else:
             big: dict[int, int] = {}
@@ -338,21 +366,33 @@ def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
     """factor(n) for n in range(lo, hi) as plain lists of (p, e), with one
     sieve for the window; callers wrap only the rows they keep.
 
-    Each prime below 1000 and up to isqrt(hi - 1) is divided out of the
-    multiples it has in the window, found by stepping, not by trial.  A
-    cofactor left over has no prime factor below 1000 or none up to its
-    square root, so it is prime when it is below 10**6, factor's own
-    rule; only a larger one goes on to factor's primality test and rho.
+    Every prime up to the depth D = min(isqrt(hi - 1), SIEVE_PRIME_LIMIT)
+    is divided out of the multiples it has in the window, found by
+    stepping, not by trial.  The primes come from _SMALL_PRIMES when D is
+    below 1000 and from the table of _prime_gaps otherwise.  A cofactor
+    left over has no prime factor up to D, so it is prime when it is below
+    (D + 1)**2, which holds for every cofactor when D = isqrt(hi - 1);
+    only a larger one, in a window past 10**10, goes on to _factor_into's
+    primality test and rho.
     """
     if lo < 1:
         raise DomainError("_factor_lists requires lo >= 1")
     rest = list(range(lo, hi))
+    size = len(rest)
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
-    limit = math.isqrt(hi - 1) if hi > lo else 0
-    for p in _SMALL_PRIMES:
-        if p > limit:
+    depth = min(math.isqrt(hi - 1) if hi > lo else 0, SIEVE_PRIME_LIMIT)
+    primes = (
+        _SMALL_PRIMES
+        if depth < _SMALL_PRIME_LIMIT
+        else itertools.accumulate(_prime_gaps())
+    )
+    # Most primes of the table exceed the window and have at most one
+    # multiple in it, so a first index past the window skips the prime.
+    for p in primes:
+        if p > depth:
             break
-        for i in range((-lo) % p, len(rest), p):
+        i = -lo % p
+        while i < size:
             m = rest[i] // p
             e = 1
             while m % p == 0:
@@ -360,11 +400,13 @@ def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
                 e += 1
             rest[i] = m
             found[i].append((p, e))
+            i += p
     # Every prime in a cofactor exceeds every prime sieved out of it.
+    prime_below = (depth + 1) ** 2
     for m, factors in zip(rest, found):
         if m == 1:
             continue
-        if m < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
+        if m < prime_below:
             factors.append((m, 1))
         else:
             big: dict[int, int] = {}

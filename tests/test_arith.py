@@ -1,7 +1,11 @@
 """Integer kernel tests against brute-force oracles."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +278,15 @@ class TestRhoBudget:
         assert info.value.bound == 1021
         assert str(self.N) in str(info.value)
 
+    def test_leftover_is_tested_once(self, monkeypatch):
+        # _factor_into tests N, then each of rho's two factors; factor
+        # itself tests nothing.
+        calls = []
+        is_prime = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert arith.factor(self.N).factors == ((1000003, 1), (1000033, 1))
+        assert len(calls) == 3
+
     def test_small_factors_need_no_rho(self, monkeypatch):
         monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 0)
         assert arith.factor(999999).value == 999999
@@ -297,9 +310,16 @@ class TestFactorRange:
             (2, 50001),
             (10**12 - 500, 10**12 + 500),
             (10**18 - 500, 10**18 + 500),
-            # isqrt(hi - 1) on either side of the largest sieving prime
+            # isqrt(hi - 1) on either side of the largest small prime
             (997**2 - 300, 997**2 + 300),
             (1009**2 - 300, 1009**2 + 300),
+            # isqrt(hi - 1) crosses 1000, where the table replaces the
+            # small primes
+            (10**6 - 300, 10**6 + 300),
+            # the largest table prime squared, and the depth reaching
+            # SIEVE_PRIME_LIMIT
+            (99991**2 - 300, 99991**2 + 300),
+            (10**10 - 500, 10**10 + 500),
         ],
     )
     def test_matches_factor(self, lo, hi):
@@ -318,3 +338,48 @@ class TestFactorRange:
         assert factor_range(1, 2) == [arith.factor(1)]
         with pytest.raises(DomainError):
             factor_range(0, 10)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(10**6 - 200, 10**6 + 200), (99991**2 - 300, 99991**2 + 300),
+                  (10**10 - 600, 10**10)],
+    )
+    def test_window_below_ten_to_the_ten_needs_no_rho(self, monkeypatch, lo, hi):
+        # With hi - 1 < 10**10 the sieve reaches isqrt(hi - 1), so every
+        # cofactor is prime and none reaches a primality test or rho.
+        want = [arith.factor(n) for n in range(lo, hi)]
+
+        def fail(n, out):
+            raise AssertionError(f"_factor_into({n})")
+
+        monkeypatch.setattr(arith, "_factor_into", fail)
+        assert factor_range(lo, hi) == want
+
+
+class TestSievePrimes:
+    def test_table_is_the_primes_below_the_limit(self):
+        limit = arith.SIEVE_PRIME_LIMIT
+        flags = bytearray([1]) * limit
+        flags[0] = flags[1] = 0
+        for i in range(2, math.isqrt(limit) + 1):
+            if flags[i]:
+                for j in range(i * i, limit, i):
+                    flags[j] = 0
+        table = list(itertools.accumulate(arith._prime_gaps()))
+        assert table == [i for i in range(limit) if flags[i]]
+        assert len(table) == 9592
+        assert list(arith._SMALL_PRIMES) == table[:168]
+
+    def test_import_does_not_build_the_table(self):
+        # A window below 10**6 sieves by the small primes alone.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
+        code = (
+            "import midylab.cli; from midylab import arith; "
+            "arith._factor_lists(999000, 1000000); "
+            "print(arith._prime_gaps.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
