@@ -2,13 +2,10 @@
 
 period_digits produces the minimal repeating digit block of x/N in base b
 by exact long division.  smallest_failing_x decides the block-sum
-divisibility property by quantifying over every numerator in the unit
-group, with no recourse to the structural deciders: for each numerator x
-the sum of its d period blocks S equals (b**k - 1) * T / N, where T is
-the sum of the d long-division remainders taken every k digits, so
-b**k - 1 divides S exactly when N divides T.  That identity is pure
-long-division bookkeeping and is cross-checked digit-by-digit in the
-test suite.
+divisibility property with no recourse to the structural deciders, from
+the long-division remainders of 1/N alone: the block sums of every
+numerator follow from them by the identity in its docstring, which is
+cross-checked digit-by-digit, numerator by numerator, in the test suite.
 """
 
 from __future__ import annotations
@@ -113,68 +110,44 @@ def blocks_and_sum(e: PeriodExpansion, d: int) -> BlockDecomposition:
     )
 
 
-# Largest modulus the direct oracle takes.  It allocates two N-byte arrays
-# and visits every x < N: about 0.4 s at N = 999983 on a 2-vCPU VM.
+# Largest modulus the direct oracle takes.  Its walk takes L < N
+# long-division steps: up to about 0.3 s at N = 999983 on a 2-vCPU VM.
 DIRECT_ORACLE_LIMIT = 10**6
-
-
-def _coprime_mask(N: int, primes) -> bytearray:
-    """Flags of the x < N coprime to N, given the primes of N."""
-    mask = bytearray([1]) * N
-    mask[0] = 0
-    for p in primes:
-        mask[p::p] = bytearray(len(mask[p::p]))
-    return mask
 
 
 def smallest_failing_x(b: int, N: int, d: int) -> int | None:
     """Smallest counterexample numerator, or None when the property holds.
 
-    Walks the unit group orbit by orbit: the property holds iff for every
-    x coprime to N with 0 < x < N, the sum of the d blocks of the period
-    of x/N is divisible by b**k - 1, k = order/d.  The walk stops once no
-    numerator left can be below the best counterexample found.  The order
-    and the primes of N come from modulus_profile, so a bad N or b raises
-    what the structural deciders raise; an N above DIRECT_ORACLE_LIMIT
-    then raises BoundedSearchError before any array is allocated.
+    The property holds iff for every x coprime to N with 0 < x < N, the
+    sum of the d blocks of the period of x/N is divisible by b**k - 1,
+    k = order/d.  That block sum is (b**k - 1) * T / N, where T sums the
+    d long-division remainders of x/N taken every k digits, x * b**(j*k)
+    mod N for j < d.  So T == x * S (mod N) with S the sum of b**(j*k)
+    for j < d, and since x is a unit mod N, N divides T exactly when N
+    divides S, which is T for x = 1.  One numerator decides them all:
+    the answer is 1 or None.  The oracle walks the remainders of 1/N
+    once, adds every k-th one and tests the sum mod N.
+
+    The order comes from modulus_profile, so a bad N or b raises what the
+    structural deciders raise; an N above DIRECT_ORACLE_LIMIT then raises
+    BoundedSearchError before the walk starts.
     """
-    profile = modulus_profile(b, N)
-    L = profile.order
+    L = modulus_profile(b, N).order
     if d <= 1:
         raise PreconditionError("block count d must be > 1")
     if L % d != 0:
         raise PreconditionError(f"d = {d} does not divide the order {L}")
     if N > DIRECT_ORACLE_LIMIT:
         raise BoundedSearchError(
-            f"the direct oracle walks every x < N; N = {N} exceeds "
+            f"the direct oracle walks the period of 1/N; N = {N} exceeds "
             f"its limit {DIRECT_ORACLE_LIMIT}",
             DIRECT_ORACLE_LIMIT,
         )
     k = L // d
-    coprime = _coprime_mask(N, profile.factors.primes())
-    visited = bytearray(N)
-    best = N
-    for x in range(1, N):
-        if visited[x] or not coprime[x]:
-            continue
-        # x is the smallest element of its orbit, and every later orbit
-        # lies above x too, so a counterexample below x is the answer.
-        if x > best:
-            break
-        # Walk the base-b remainder orbit of x; it has length exactly L.
-        orbit = []
-        r = x
-        for _ in range(L):
-            orbit.append(r)
-            visited[r] = 1
+    total = 0
+    r = 1
+    for _ in range(d):
+        total += r
+        for _ in range(k):
             r = r * b % N
-        # The d-block sum for the numerator at orbit position i is
-        # (b**k - 1)/N times the sum of every k-th remainder from i, so
-        # the property holds for it iff N divides that remainder sum.
-        for c in range(k):
-            stripe = orbit[c::k]
-            if sum(stripe) % N:
-                best = min(best, *stripe)
-                if best == x:
-                    return x  # nothing left can be below x
-    return None if best == N else best
+    return 1 if total % N else None

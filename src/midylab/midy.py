@@ -10,13 +10,14 @@ The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
-The divisors of L come from order._order_divisors, so L is never
-factored either.  _ppl2_verdicts, the one decider behind midy_set,
-midy_check_ppl2, guel_triple and both CLI scan formats, gives each
-divisor's culprit prime or None; midy_check_ppl2 turns a culprit into a
-PrimeCertificate, and the scan's JSON rows render the same fields
-without one.  The cross-check reads the same profile and divisors but
-decides by its own rule.  A supplied n_factors is checked against N
+The divisors of L come from order._order_divisors and its primes from
+order._order_exponents, so L is never factored either, and a decider of
+one d builds no divisor list.  _ppl2_verdicts, the one decider behind
+midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
+each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
+into a PrimeCertificate, and the scan's JSON rows render the same fields
+without one.  The cross-check reads the same profile and the primes of L
+but decides by its own rule.  A supplied n_factors is checked against N
 (DomainError if it does not multiply back to N or lists a non-prime).
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from . import arith, expansion
 from .arith import Factorization
 from .errors import HypothesisNotApplicableError, PreconditionError
-from .order import ModulusProfile, _order_divisors, modulus_profile
+from .order import ModulusProfile, _order_divisors, _order_exponents, modulus_profile
 
 __all__ = [
     "GcdCertificate",
@@ -156,10 +157,9 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
 
 
 def _order_escapes(ord_p: int, L: int, d: int, primes) -> bool:
-    """True when some q in primes has nu_q(ord_p) > nu_q(L) - nu_q(d).
+    """True when ord_p does not divide k = L/d, primes being those of L.
 
-    That is, ord_p does not divide k = L/d, once primes holds every prime
-    of d (a q not dividing d never passes, since ord_p divides L).
+    That is, some q in primes has nu_q(ord_p) > nu_q(L) - nu_q(d).
     """
     return any(
         arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
@@ -209,11 +209,7 @@ def midy_check_ppl3(
     profile = modulus_profile(b, N, n_factors=n_factors)
     L = profile.order
     k = _check_args(d, L)
-    # A divisor of L above 1 is prime when no smaller prime of L divides it.
-    order_primes: list[int] = []
-    for q in _order_divisors(profile):
-        if all(q % r for r in order_primes):
-            order_primes.append(q)
+    order_primes = _order_exponents(profile).keys()
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
@@ -269,8 +265,9 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
     [culprit] = _ppl2_verdicts(profile, [d])
-    d_primes = arith.factor(d).primes()
+    order_primes = _order_exponents(profile).keys()
     stmt_exists = all(
-        _order_escapes(ord_p, L, d, d_primes) for _, _, _, ord_p in profile.per_prime
+        _order_escapes(ord_p, L, d, order_primes)
+        for _, _, _, ord_p in profile.per_prime
     )
     return stmt_gcd, culprit is None, stmt_exists

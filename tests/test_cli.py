@@ -184,7 +184,7 @@ class TestMidyCheckCommand:
 
     def test_direct_oracle_refuses_a_huge_modulus(self):
         # order_mod on N = 10**9 + 7 takes milliseconds, but the oracle
-        # would allocate two N-byte arrays and walk every x < N.
+        # would walk the period of 1/N, about 10**9 long-division steps.
         proc, elapsed = run_cli_process(
             ["midy-check", "--method", "direct", "--base", "10", "1000000007", "2"]
         )
@@ -211,6 +211,18 @@ class TestMidySetCommand:
     def test_human(self):
         code, out = run_cli(["midy-set", "--base", "10", "13"])
         assert out.splitlines() == ["order: 6", "members: 2 3 6"]
+
+    def test_order_past_the_divisor_limit(self):
+        # The product of the primes 7..317 has 428 bits, and its order mod
+        # 10 has 212,336,640 divisors: listing them ran out of memory.
+        n = math.prod(p for p in range(7, 318) if arith.is_prime(p))
+        proc, elapsed = run_cli_process(["midy-set", "--base", "10", str(n)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:")
+        assert "212336640 divisors" in line
+        assert elapsed < 1
 
 
 class TestJenkinsCommand:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from midylab import arith
+from midylab import arith, midy, order
 from midylab.errors import (
     DomainError,
     HypothesisNotApplicableError,
@@ -319,3 +319,45 @@ class TestGuelTriple:
                     except HypothesisNotApplicableError:
                         continue
                     assert s1 == s2 == s3, (b, n, d)
+
+
+class TestOneBlockCount:
+    """Deciding one d reads the primes of the order, never its divisors."""
+
+    @pytest.fixture
+    def no_divisors(self, monkeypatch):
+        def refuse(profile):
+            raise AssertionError("listed the divisors of the order")
+
+        monkeypatch.setattr(order, "_order_divisors", refuse)
+        monkeypatch.setattr(midy, "_order_divisors", refuse)
+
+    @pytest.mark.parametrize(
+        "b,n,d,want",
+        [(10, 13, 6, True), (8, 75, 5, False), (3, 4, 2, True), (10, 21, 2, False)],
+    )
+    def test_deciders(self, no_divisors, b, n, d, want):
+        assert midy_check_ppl2(b, n, d).holds is want
+        assert midy_check_ppl3(b, n, d).holds is want
+        assert midy_check_direct(b, n, d).holds is want
+
+    @pytest.mark.parametrize(
+        "b,n,d,want",
+        [
+            (10, 13, 6, (True, True, True)),
+            (8, 75, 5, (False, False, False)),
+            (3, 4, 2, (False, True, False)),
+        ],
+    )
+    def test_guel_triple(self, no_divisors, b, n, d, want):
+        assert guel_triple(b, n, d) == want
+
+    def test_order_with_a_million_divisors(self, no_divisors):
+        # The primes 7..199: a 268-bit N whose order mod 10 has 1,290,240
+        # divisors.
+        n = math.prod(p for p in range(7, 200) if arith.is_prime(p))
+        L = order_mod(10, n)
+        for d, want in [(2, False), (L // 2, True), (L // 13, False), (L, True)]:
+            ppl2 = midy_check_ppl2(10, n, d)
+            assert ppl2.holds is want
+            assert midy_check_ppl3(10, n, d) == ppl2._replace(method="ppl3")

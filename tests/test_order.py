@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from midylab import arith, cli
-from midylab.errors import DomainError, PreconditionError
+from midylab import arith, cli, order
+from midylab.errors import BoundedSearchError, DomainError, PreconditionError
 from midylab.jenkins import jenkins_check_gcd, jenkins_instance
-from midylab.midy import midy_check_ppl3
+from midylab.midy import guel_triple, midy_check_ppl3
 from midylab.order import (
     ModulusProfile,
     _order_divisors,
+    _order_exponents,
     _order_mod_prime,
     lift_valuation,
     modulus_profile,
@@ -222,6 +223,11 @@ class TestOneFactorization:
         midy_check_ppl3(10, 21, 6)
         assert factored.count(21) == 1
 
+    def test_guel_triple_reads_the_primes_of_d_off_the_order(self, factored):
+        guel_triple(10, 49, 3)
+        assert factored.count(49) == 1
+        assert 3 not in factored
+
     def test_progression_never_factors_a_candidate(self, factored):
         # nor takes an order mod one: one modular power decides each
         _order_mod_prime.cache_clear()
@@ -278,6 +284,9 @@ class TestOrderFactorization:
                     prof = modulus_profile(b, n)
                     want = divisors_above_one(prof.order)
                     assert _order_divisors(prof) == want, (b, n)
+                    exponents = _order_exponents(prof)
+                    assert math.prod(q**e for q, e in exponents.items()) == prof.order
+                    assert sorted(exponents) == list(arith.factor(prof.order).primes())
 
     def test_matches_trial_division(self):
         # Independent of arith.factor: every d in 2..L that divides L.
@@ -297,12 +306,23 @@ class TestOrderFactorization:
                 L = prof.order
                 divisors = _order_divisors(prof)
                 assert divisors == divisors_above_one(L)
-                # L is the order: b**L is 1 and no L / r is, r a prime of L,
-                # that is a divisor of L with no smaller divisor above 1.
+                exponents = _order_exponents(prof)
+                assert math.prod(r**e for r, e in exponents.items()) == L
+                assert sorted(exponents) == list(arith.factor(L).primes())
+                # L is the order: b**L is 1 and no L / r is, r a prime of L.
                 assert pow(b, L, p * q) == 1
-                primes = [r for r in divisors if all(r % s for s in divisors if s < r)]
-                assert primes == list(arith.factor(L).primes())
-                assert all(pow(b, L // r, p * q) != 1 for r in primes)
+                assert all(pow(b, L // r, p * q) != 1 for r in exponents)
+
+    def test_divisor_count_past_the_limit(self, monkeypatch):
+        # 10 has order 21 = 3 * 7 mod 43 and 6 = 2 * 3 mod 7 (4 divisors
+        # each), 42 = 2 * 3 * 7 mod 49 (8) and 294 = 2 * 3 * 7**2 mod 343 (12).
+        monkeypatch.setattr(order, "DIVISOR_COUNT_LIMIT", 4)
+        assert _order_divisors(modulus_profile(10, 43)) == [3, 7, 21]
+        assert _order_divisors(modulus_profile(10, 7)) == [2, 3, 6]
+        for n in (49, 343):
+            with pytest.raises(BoundedSearchError) as info:
+                _order_divisors(modulus_profile(10, n))
+            assert info.value.bound == 4
 
     def test_supplied_composite_never_trusted(self):
         # 21 is not prime: the profile must refuse it, not lift by it.
