@@ -340,17 +340,7 @@ class TestOneBlockCount:
         assert midy_check_ppl2(b, n, d).holds is want
         assert midy_check_ppl3(b, n, d).holds is want
         assert midy_check_direct(b, n, d).holds is want
-
-    @pytest.mark.parametrize(
-        "b,n,d,want",
-        [
-            (10, 13, 6, (True, True, True)),
-            (8, 75, 5, (False, False, False)),
-            (3, 4, 2, (False, True, False)),
-        ],
-    )
-    def test_guel_triple(self, no_divisors, b, n, d, want):
-        assert guel_triple(b, n, d) == want
+        assert guel_triple(b, n, d)[1] is want
 
     def test_order_with_a_million_divisors(self, no_divisors):
         # The primes 7..199: a 268-bit N whose order mod 10 has 1,290,240
