@@ -200,22 +200,13 @@ def is_prime_proven(n: int) -> bool:
 class Factorization(tuple):
     """Canonical factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
-    A tuple of its (p, e) pairs, checked on construction; the empty
-    tuple represents 1.
+    A tuple of its (p, e) pairs; the empty tuple represents 1.  Building
+    one checks nothing: factor and the scan's sieve make canonical ones,
+    and order.modulus_profile checks the shape, product and primes of one
+    a caller supplies.
     """
 
     __slots__ = ()
-
-    def __new__(cls, factors):
-        self = tuple.__new__(cls, factors)
-        prev = 1
-        for p, e in self:
-            if p <= prev:
-                raise DomainError("factorization primes must be strictly increasing")
-            if e < 1:
-                raise DomainError("factorization exponents must be >= 1")
-            prev = p
-        return self
 
     def __repr__(self) -> str:
         return f"Factorization(factors={tuple(self)!r})"
@@ -310,6 +301,16 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 FACTOR_BIT_LIMIT = 512
 
 
+def _check_factor_bits(n: int) -> None:
+    """BoundedSearchError if n has more than FACTOR_BIT_LIMIT bits."""
+    if n.bit_length() > FACTOR_BIT_LIMIT:
+        raise BoundedSearchError(
+            f"a number of {n.bit_length()} bits is past the factoring limit "
+            f"of {FACTOR_BIT_LIMIT} bits",
+            FACTOR_BIT_LIMIT,
+        )
+
+
 def factor(n: int) -> Factorization:
     """Canonical factorization of n >= 1, deterministic for a given n.
 
@@ -320,12 +321,7 @@ def factor(n: int) -> Factorization:
     """
     if n < 1:
         raise DomainError("factor requires n >= 1")
-    if n.bit_length() > FACTOR_BIT_LIMIT:
-        raise BoundedSearchError(
-            f"a number of {n.bit_length()} bits is past the factoring limit "
-            f"of {FACTOR_BIT_LIMIT} bits",
-            FACTOR_BIT_LIMIT,
-        )
+    _check_factor_bits(n)
     found: list[tuple[int, int]] = []
     g = math.gcd(n, _SMALL_PRIME_PRODUCT)
     if g > 1:
@@ -373,10 +369,12 @@ def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
     left over has no prime factor up to D, so it is prime when it is below
     (D + 1)**2, which holds for every cofactor when D = isqrt(hi - 1);
     only a larger one, in a window past 10**10, goes on to _factor_into's
-    primality test and rho.
+    primality test and rho.  A window whose top has more than
+    FACTOR_BIT_LIMIT bits raises BoundedSearchError, as factor does.
     """
     if lo < 1:
         raise DomainError("_factor_lists requires lo >= 1")
+    _check_factor_bits(hi - 1)
     rest = list(range(lo, hi))
     size = len(rest)
     found: list[list[tuple[int, int]]] = [[] for _ in rest]

@@ -243,10 +243,9 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
 def _scan_text(task) -> str:
     """Decide the rows of n in [lo, hi) coprime to b and render them as fmt."""
     b, lo, hi, fmt = task
-    # The sieve's lists skip Factorization's checks, being factorizations
-    # already.  _scan_row is looked up at call time, so a rebinding sees every row.
+    # _scan_row is looked up at call time, so a rebinding sees every row.
     return "".join(
-        _scan_row(b, n, tuple.__new__(Factorization, factors), fmt)
+        _scan_row(b, n, Factorization(factors), fmt)
         for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi))
         if math.gcd(n, b) == 1
     )

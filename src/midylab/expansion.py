@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import BoundedSearchError, PreconditionError
-from .order import modulus_profile
+from .order import _check_block_count, modulus_profile
 
 __all__ = [
     "BlockDecomposition",
@@ -128,22 +128,19 @@ def smallest_failing_x(b: int, N: int, d: int) -> int | None:
     the answer is 1 or None.  The oracle walks the remainders of 1/N
     once, adds every k-th one and tests the sum mod N.
 
-    The order comes from modulus_profile, so a bad N or b raises what the
-    structural deciders raise; an N above DIRECT_ORACLE_LIMIT then raises
+    The order comes from modulus_profile and d is checked by their
+    _check_block_count, so a bad N, b or d raises what the structural
+    deciders raise; an N above DIRECT_ORACLE_LIMIT then raises
     BoundedSearchError before the walk starts.
     """
     L = modulus_profile(b, N).order
-    if d <= 1:
-        raise PreconditionError("block count d must be > 1")
-    if L % d != 0:
-        raise PreconditionError(f"d = {d} does not divide the order {L}")
+    k = _check_block_count(d, L)
     if N > DIRECT_ORACLE_LIMIT:
         raise BoundedSearchError(
             f"the direct oracle walks the period of 1/N; N = {N} exceeds "
             f"its limit {DIRECT_ORACLE_LIMIT}",
             DIRECT_ORACLE_LIMIT,
         )
-    k = L // d
     total = 0
     r = 1
     for _ in range(d):

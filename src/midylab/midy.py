@@ -17,8 +17,10 @@ midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
 each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
 into a PrimeCertificate, and the scan's JSON rows render the same fields
 without one.  The cross-check reads the same profile and the primes of L
-but decides by its own rule.  A supplied n_factors is checked against N
-(DomainError if it does not multiply back to N or lists a non-prime).
+but decides by its own rule.  A supplied n_factors is checked where it
+enters, in modulus_profile (DomainError if it does not multiply back to
+N, is out of order or lists a non-prime), and a block count d in
+order._check_block_count, which the direct oracle shares.
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
 strict: squaring b**k gains nu_2(b**k + 1) - 1 extra factors of two, so
@@ -33,8 +35,14 @@ from typing import NamedTuple
 
 from . import arith, expansion
 from .arith import Factorization
-from .errors import HypothesisNotApplicableError, PreconditionError
-from .order import ModulusProfile, _order_divisors, _order_exponents, modulus_profile
+from .errors import HypothesisNotApplicableError
+from .order import (
+    ModulusProfile,
+    _check_block_count,
+    _order_divisors,
+    _order_exponents,
+    modulus_profile,
+)
 
 __all__ = [
     "GcdCertificate",
@@ -90,14 +98,6 @@ class MidySet(NamedTuple):
     modulus: int
     order: int
     members: tuple[int, ...]
-
-
-def _check_args(d: int, L: int) -> int:
-    if d <= 1:
-        raise PreconditionError("block count d must be > 1")
-    if L % d != 0:
-        raise PreconditionError(f"d = {d} does not divide the order {L}")
-    return L // d
 
 
 def _allowance(gain: int, k: int, d: int) -> int:
@@ -181,7 +181,7 @@ def midy_check_ppl2(
     may supply a factorization of N; DomainError if it is not one.
     """
     profile = modulus_profile(b, N, n_factors=n_factors)
-    _check_args(d, profile.order)
+    _check_block_count(d, profile.order)
     [culprit] = _ppl2_verdicts(profile, [d])
     if culprit is None:
         return MidyVerdict(holds=True, method="ppl2")
@@ -208,7 +208,7 @@ def midy_check_ppl3(
     """
     profile = modulus_profile(b, N, n_factors=n_factors)
     L = profile.order
-    k = _check_args(d, L)
+    k = _check_block_count(d, L)
     order_primes = _order_exponents(profile).keys()
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
@@ -256,7 +256,7 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
     """
     profile = modulus_profile(b, N)
     L = profile.order
-    k = _check_args(d, L)
+    k = _check_block_count(d, L)
     for p, nu_n, _, _ in profile.per_prime:
         if nu_n <= arith.valuation(p, d):
             raise HypothesisNotApplicableError(

@@ -16,10 +16,13 @@ that into the order's divisors, so the order itself is never factored.
 order_mod is the order field of that profile, so there is one route to a
 modulus's order data.
 
-Primality is checked once, where a factorization enters: modulus_profile
-tests each prime of a caller's n_factors, and trusts the ones
-arith.factor found.  _profile, the builder behind it, trusts its factors
-and is also what the CLI scan calls with the factors of its chunk sieve.
+A factorization is checked once, where it enters: building a
+Factorization checks nothing, and modulus_profile tests the shape, the
+product and the primes of a caller's n_factors and trusts the ones
+arith.factor found.  _profile, the builder behind it, trusts its factors and
+is also what the CLI scan calls with the factors of its chunk sieve.
+_check_block_count is the one check of a block count d against the
+order, for the deciders and the direct oracle alike.
 """
 
 from __future__ import annotations
@@ -210,8 +213,9 @@ def modulus_profile(
 
     One prime-power order per prime power of N; the order mod p is the
     cached value that computation starts from.  n_factors may supply a
-    factorization of N; DomainError if it does not multiply back to N or
-    lists a number that is not prime.  A factorization made here by
+    factorization of N; DomainError if it does not multiply back to N, if
+    its primes are not strictly increasing, if an exponent is below 1 or
+    if it lists a number that is not prime.  A factorization made here by
     arith.factor is not tested again.
     """
     if N < 1:
@@ -222,10 +226,26 @@ def modulus_profile(
         return _profile(b, N, arith.factor(N))
     if n_factors.value != N:
         raise DomainError(f"n_factors multiply to {n_factors.value}, not {N}")
-    for p, _ in n_factors:
+    prev = 1
+    for p, e in n_factors:
+        if p <= prev:
+            raise DomainError("factorization primes must be strictly increasing")
+        if e < 1:
+            raise DomainError("factorization exponents must be >= 1")
         if not arith.is_prime(p):
             raise DomainError(f"{p} is not prime")
+        prev = p
     return _profile(b, N, n_factors)
+
+
+def _check_block_count(d: int, L: int) -> int:
+    """k = L / d for a block count d of the order L: PreconditionError
+    unless d > 1 divides L."""
+    if d <= 1:
+        raise PreconditionError("block count d must be > 1")
+    if L % d != 0:
+        raise PreconditionError(f"d = {d} does not divide the order {L}")
+    return L // d
 
 
 def order_mod(

@@ -106,10 +106,7 @@ class ProgressionTrace(NamedTuple):
 
 
 def _checked_profile(b: int, N: int, q: int, v: int) -> ModulusProfile:
-    if not arith.is_prime(q):
-        raise PreconditionError(f"{q} is not prime")
-    if v < 1:
-        raise PreconditionError("v must be >= 1")
+    _check_search_args(b, q, v)
     profile = modulus_profile(b, N)
     if profile.order % q**v != 0:
         raise PreconditionError(f"{q**v} does not divide the order {profile.order}")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from midylab import arith
 from midylab.errors import BoundedSearchError, DomainError
+from midylab.order import modulus_profile
 
 
 def gcd_brute(a: int, b: int) -> int:
@@ -226,10 +227,15 @@ class TestFactor:
         assert f.valuation(7) == 0
 
     def test_ordering_enforced(self):
+        # Building a Factorization checks nothing; the order and the
+        # exponents are enforced where a caller supplies one, in
+        # modulus_profile (tests/test_order.py has every entry).
+        unsorted = arith.Factorization(((5, 1), (3, 1)))
+        assert unsorted.value == 15
         with pytest.raises(DomainError):
-            arith.Factorization(((5, 1), (3, 1)))
+            modulus_profile(2, 15, n_factors=unsorted)
         with pytest.raises(DomainError):
-            arith.Factorization(((3, 0),))
+            modulus_profile(2, 1, n_factors=arith.Factorization(((3, 0),)))
 
     @given(st.integers(1, 10**9))
     @settings(max_examples=300)
@@ -246,6 +252,20 @@ class TestFactorBitLimit:
         monkeypatch.setattr(arith, "_SMALL_PRIMES", None)  # trial division fails
         with pytest.raises(BoundedSearchError) as info:
             arith.factor(2**16)
+        assert info.value.bound == 16
+        assert str(info.value) == (
+            "a number of 17 bits is past the factoring limit of 16 bits"
+        )
+
+    def test_sieve_window_is_checked_before_it_is_built(self, monkeypatch):
+        # The scan's sieve refuses a window whose top is past the limit,
+        # with factor's message, before it lists the window or sieves it.
+        monkeypatch.setattr(arith, "FACTOR_BIT_LIMIT", 16)
+        window = arith._factor_lists(2**16 - 4, 2**16)
+        assert window[-1] == [(3, 1), (5, 1), (17, 1), (257, 1)]
+        monkeypatch.setattr(arith, "_SMALL_PRIMES", None)  # sieving fails
+        with pytest.raises(BoundedSearchError) as info:
+            arith._factor_lists(2**16 - 4, 2**16 + 1)
         assert info.value.bound == 16
         assert str(info.value) == (
             "a number of 17 bits is past the factoring limit of 16 bits"

@@ -540,6 +540,23 @@ class TestScanBudget:
         assert out == "n,base,order,midy_set\n"
         assert capsys.readouterr().err.startswith("error: no factor of ")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_past_the_factoring_limit_exits_3(self, jobs):
+        # Three chunks of 3322-bit rows: the sieve refuses each window
+        # before it is built, where rho would run for minutes.  At jobs 2
+        # the error reaches the parent in a worker's frame.
+        lo = 10**1000 + 1
+        proc, elapsed = run_cli_process(
+            ["scan", "--base", "10", "--from", str(lo), "--to", str(lo + 700),
+             "--jobs", jobs]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == "n,base,order,midy_set\n"
+        assert proc.stderr == (
+            "error: a number of 3322 bits is past the factoring limit of 512 bits\n"
+        )
+        assert elapsed < 1
+
     @pytest.mark.parametrize(
         "error",
         [BoundedSearchError("out of budget", 5), DomainError("no such row")],

@@ -98,6 +98,15 @@ class TestErrorTypes:
                 assert len(kinds) == 1, (b, n, kinds)
                 if whole:
                     assert kinds == {whole}, (b, n, kinds)
+        # A d of 1, or one that does not divide the order 6, breaks one
+        # rule, which every decider of one d words alike.
+        for d in (1, 4, 5):
+            messages = set()
+            for check in (*checks, guel_triple):
+                with pytest.raises(PreconditionError) as info:
+                    check(10, 13, d)
+                messages.add(str(info.value))
+            assert len(messages) == 1, (d, messages)
 
 
 class TestPpl3:

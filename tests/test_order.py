@@ -9,7 +9,7 @@ import pytest
 from midylab import arith, cli, order
 from midylab.errors import BoundedSearchError, DomainError, PreconditionError
 from midylab.jenkins import jenkins_check_gcd, jenkins_instance
-from midylab.midy import guel_triple, midy_check_ppl3
+from midylab.midy import guel_triple, midy_check_ppl2, midy_check_ppl3, midy_set
 from midylab.order import (
     ModulusProfile,
     _order_divisors,
@@ -324,7 +324,29 @@ class TestOrderFactorization:
                 _order_divisors(modulus_profile(10, n))
             assert info.value.bound == 4
 
-    def test_supplied_composite_never_trusted(self):
-        # 21 is not prime: the profile must refuse it, not lift by it.
+    # Factorizations a caller may supply for N, each with one defect, and
+    # the entries that take one.  Building a Factorization checks nothing,
+    # so every entry must refuse each of them where it enters: a composite
+    # must not be lifted by, nor a misshapen one read as N's primes.
+    SUPPLIED = {
+        "unsorted": (15, lambda: ((5, 1), (3, 1))),
+        "zero-exponent": (1, lambda: ((3, 0),)),
+        "repeated-prime": (9, lambda: ((3, 1), (3, 1))),
+        "composite": (21, lambda: ((21, 1),)),
+        "wrong-product": (21, lambda: arith.factor(7)),
+        "unsorted-iterator": (14, lambda: iter([(7, 1), (2, 1)])),
+    }
+    ENTRIES = {
+        "order_mod": lambda b, n, f: order_mod(b, n, n_factors=f),
+        "modulus_profile": lambda b, n, f: modulus_profile(b, n, n_factors=f),
+        "midy_check_ppl2": lambda b, n, f: midy_check_ppl2(b, n, 2, n_factors=f),
+        "midy_check_ppl3": lambda b, n, f: midy_check_ppl3(b, n, 2, n_factors=f),
+        "midy_set": lambda b, n, f: midy_set(b, n, n_factors=f),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    @pytest.mark.parametrize("supplied", SUPPLIED.values(), ids=SUPPLIED.keys())
+    def test_supplied_composite_never_trusted(self, supplied, entry):
+        n, pairs = supplied
         with pytest.raises(DomainError):
-            modulus_profile(10, 21, n_factors=arith.Factorization(((21, 1),)))
+            entry(11, n, arith.Factorization(pairs()))

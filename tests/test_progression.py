@@ -37,6 +37,28 @@ class TestStructureCheck:
         assert prime_power_midy_structure(10, 27, 3, 1) is False
         assert midy_check_ppl2(10, 27, 3).holds is False
 
+    def test_bad_arguments_raise_alike(self):
+        # One check of b, q and v behind every entry: a base below 2, a
+        # composite q and v = 0 each raise the same message from all.
+        cases = {
+            "base must be >= 2": (1, 3, 1),
+            "9 is not prime": (10, 9, 1),
+            "v must be >= 1": (10, 3, 0),
+        }
+        for message, (b, q, v) in cases.items():
+            calls = [
+                (prime_power_structure, (b, 13, q, v)),
+                (prime_power_midy_structure, (b, 13, q, v)),
+                (smallest_midy_witness, (b, q, v)),
+                (prime_progression, (b, q, v, 1)),
+            ]
+            if v == 1:
+                calls.append((midy_prime_v1_check, (b, 13, q)))
+            for entry, args in calls:
+                with pytest.raises(PreconditionError) as info:
+                    entry(*args)
+                assert str(info.value) == message, entry.__name__
+
     def test_structure_record(self):
         s = prime_power_structure(10, 21, 3, 1)
         assert s.q_exponent == 1

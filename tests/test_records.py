@@ -105,8 +105,11 @@ class TestFactorization:
     def test_any_iterable_of_pairs(self):
         pairs = [(2, 1), (7, 2)]
         assert arith.Factorization(iter(pairs)) == arith.Factorization(pairs)
+        # Unsorted pairs build, and are refused where they are supplied.
+        unsorted = arith.Factorization(iter([(7, 1), (2, 1)]))
+        assert unsorted == ((7, 1), (2, 1))
         with pytest.raises(DomainError):
-            arith.Factorization(iter([(7, 1), (2, 1)]))
+            modulus_profile(3, 14, n_factors=unsorted)
 
 
 def loaded_by_import(names):
