@@ -1,5 +1,13 @@
 """Exception types shared across midylab."""
 
+__all__ = [
+    "BoundedSearchError",
+    "DomainError",
+    "HypothesisNotApplicableError",
+    "MidylabError",
+    "PreconditionError",
+]
+
 
 class MidylabError(Exception):
     """Base class for all midylab errors."""

@@ -3,16 +3,20 @@
 Given distinct primes p_1..p_t that each have the property for block
 count d, and arbitrary positive exponents h_i, the criterion decides
 whether N = prod p_i**h_i keeps it.  Two routes are provided: the
-lcm-quotient test on the d-smooth exponent vectors of the lifted
-cofactors, and the direct gcd evaluation.  The verdict is independent of
-the h_i: every prime of d divides |b| mod p_i, hence p_i - 1, so the
-lifted prime power p_i**(h_i - m_i) contributes nothing to any prime of
-d, and the formula route reads its vectors off the block lengths k_i
-alone.  The test suite asserts that independence on both routes.
+lcm-quotient test on the block lengths k_i = |b| mod p_i / d, which
+needs no factorization of d, and the direct gcd evaluation.  The
+verdict is independent of the h_i: every prime of d divides |b| mod p_i,
+hence p_i - 1, so the lifted prime power p_i**(h_i - m_i) contributes
+nothing to any prime of d.  jenkins_decomposition gives the paper's
+d-smooth exponent vectors of the lifted cofactors; it is the one place
+d is factored.  The test suite asserts that the formula route agrees
+with the rule on those vectors and that the verdict ignores the h_i on
+both routes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import arith
@@ -96,12 +100,7 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
         # order_mod(b, p) factors p - 1, which has as many bits as p, so
         # a p past the factoring limit is refused before is_prime, which
         # takes seconds on thousands of bits.
-        if p.bit_length() > arith.FACTOR_BIT_LIMIT:
-            raise BoundedSearchError(
-                f"a prime of {p.bit_length()} bits is past the factoring "
-                f"limit of {arith.FACTOR_BIT_LIMIT} bits",
-                arith.FACTOR_BIT_LIMIT,
-            )
+        arith._check_factor_bits(p)
         if not arith.is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         if h < 1:
@@ -158,23 +157,19 @@ def jenkins_decomposition(inst: JenkinsInstance) -> JenkinsDecomposition:
 
 
 def jenkins_check(inst: JenkinsInstance) -> bool:
-    """lcm-quotient route, evaluated on d-smooth exponent vectors.
+    """lcm-quotient route: for every j, lcm(k_1..k_t) / k_j is not
+    divisible by d.
 
-    The property holds for the product iff for every j the quotient of the
-    lcm of the d-smooth parts by the j-th d-smooth part is not divisible
-    by d, i.e. falls short of d in at least one prime.
+    The paper states the test on the d-smooth parts of the lifted
+    cofactors p_j**(h_j - m_j) * k_j; this reads it off the k_j alone,
+    without factoring d.  Every prime of d divides |b| mod p_j, hence
+    p_j - 1, so no p_j is a prime of d: the lifted powers add nothing at
+    the primes of d, and there the lcm and each quotient carry the same
+    exponents as those of the d-smooth parts.  Whether d divides a
+    number depends on its exponents at the primes of d alone.
     """
-    d_primes = arith.factor(inst.d).factors
-    # p_j**(h_j - m_j) adds nothing at the primes of d (module docstring),
-    # so each vector is read off k_j alone.
-    vectors = [
-        [arith.valuation(q, k) for q, _ in d_primes] for k in inst.block_lengths
-    ]
-    peak = [max(col) for col in zip(*vectors)]
-    return all(
-        any(mx - e < r for mx, e, (_, r) in zip(peak, vec, d_primes))
-        for vec in vectors
-    )
+    lcm = math.lcm(*inst.block_lengths)
+    return all(lcm // k % inst.d for k in inst.block_lengths)
 
 
 def _block_gcd(inst: JenkinsInstance) -> int:

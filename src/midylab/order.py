@@ -253,8 +253,9 @@ def order_mod(
 ) -> int:
     """Least L >= 1 with b**L == 1 (mod N); requires gcd(b, N) == 1.
 
-    Read from modulus_profile(b, N).  n_factors may supply a precomputed
-    factorization of N; DomainError if it does not multiply back to N.
+    Read from modulus_profile(b, N), which also checks a supplied
+    n_factors (its product, the order of its primes, its exponents and
+    the primality of each prime).
     """
     return modulus_profile(b, N, n_factors=n_factors).order
 

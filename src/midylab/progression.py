@@ -24,8 +24,8 @@ from typing import NamedTuple
 from . import arith
 from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES, _TRIAL_PRODUCT
 from .errors import BoundedSearchError, PreconditionError
-from .midy import midy_check_ppl2
-from .order import ModulusProfile, lift_valuation, modulus_profile, order_mod
+from .midy import _ppl2_verdicts, midy_check_ppl2
+from .order import ModulusProfile, lift_valuation, modulus_profile
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -197,9 +197,8 @@ def smallest_midy_witness(
     for N in range(2, bound + 1):
         if math.gcd(N, b) != 1:
             continue
-        if order_mod(b, N) % d != 0:
-            continue
-        if midy_check_ppl2(b, N, d).holds:
+        profile = modulus_profile(b, N)
+        if profile.order % d == 0 and _ppl2_verdicts(profile, [d]) == [None]:
             assert (d == 2 and N == 4) or (arith.is_prime(N) and N % d == 1), (
                 f"witness {N} for base {b}, modulus {d} is not a prime "
                 f"congruent to 1"

@@ -295,7 +295,7 @@ class TestJenkinsCommand:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: a prime of 3217 bits is past the factoring limit of 512 bits\n"
+            "error: a number of 3217 bits is past the factoring limit of 512 bits\n"
         )
         assert elapsed < 1
 

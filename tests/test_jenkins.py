@@ -56,7 +56,7 @@ class TestInstance:
                 jenkins_instance(10, 2, [(p, 1), (11, 1)])
             assert info.value.bound == 4
             assert str(info.value) == (
-                "a prime of 5 bits is past the factoring limit of 4 bits"
+                "a number of 5 bits is past the factoring limit of 4 bits"
             )
 
 
@@ -158,19 +158,53 @@ def eligible_primes(b, d, limit=200):
     return out
 
 
+def sweep_instances(b):
+    """Every instance of at most two eligible primes below 60, h in {1, 2},
+    for each d in 2..12."""
+    for d in range(2, 13):
+        primes = eligible_primes(b, d, 60)
+        for t in (1, 2):
+            for subset in combinations(primes, t):
+                for hs in product((1, 2), repeat=t):
+                    yield jenkins_instance(b, d, list(zip(subset, hs)))
+
+
+def exponent_vector_rule(dec):
+    """The paper's form of the criterion on a decomposition: the exponent
+    of z_j at q_i is c_j * r_i + alpha_j[i], and the property holds iff
+    for every j the lcm's exponents exceed z_j's by less than r_i at some
+    q_i, that is the quotient is not divisible by d."""
+    vectors = [
+        [c * r + a for a, (_, r) in zip(alpha, dec.d_primes)]
+        for c, alpha in zip(dec.c, dec.alpha)
+    ]
+    peak = [max(col) for col in zip(*vectors)]
+    return all(
+        any(mx - e < r for mx, e, (_, r) in zip(peak, vec, dec.d_primes))
+        for vec in vectors
+    )
+
+
 class TestEquivalenceSweep:
     @pytest.mark.parametrize("b", [2, 10])
     def test_routes_agree_small(self, b):
-        for d in range(2, 13):
-            primes = eligible_primes(b, d, 60)
-            for t in (1, 2):
-                for subset in combinations(primes, t):
-                    for hs in product((1, 2), repeat=t):
-                        inst = jenkins_instance(b, d, list(zip(subset, hs)))
-                        formula = jenkins_check(inst)
-                        assert formula == jenkins_check_gcd(inst), (b, d, subset, hs)
-                        n = inst.modulus
-                        assert formula == midy_check_ppl2(b, n, d).holds
+        for inst in sweep_instances(b):
+            formula = jenkins_check(inst)
+            assert formula == jenkins_check_gcd(inst), inst
+            assert formula == midy_check_ppl2(b, inst.modulus, inst.d).holds
+
+    @pytest.mark.parametrize("b", [2, 10])
+    def test_formula_matches_exponent_vectors(self, b, monkeypatch):
+        instances = list(sweep_instances(b))
+        want = [exponent_vector_rule(jenkins_decomposition(i)) for i in instances]
+        assert True in want and False in want
+
+        def no_factor(n):
+            raise AssertionError(f"factor({n}) was called")
+
+        # The formula route reads the block lengths alone; d is never factored.
+        monkeypatch.setattr(arith, "factor", no_factor)
+        assert [jenkins_check(i) for i in instances] == want
 
     def test_h_independence_small(self):
         for b, d in [(10, 2), (10, 3), (2, 4)]:

@@ -12,16 +12,22 @@ from midylab import (
     GcdCertificate,
     arith,
     blocks_and_sum,
+    errors,
+    expansion,
     factor,
+    jenkins,
     jenkins_decomposition,
     jenkins_instance,
+    midy,
     midy_check_direct,
     midy_check_ppl2,
     midy_set,
     modulus_profile,
+    order,
     period_digits,
     prime_power_structure,
     prime_progression,
+    progression,
 )
 from midylab.errors import DomainError
 
@@ -73,6 +79,18 @@ class TestRecords:
         again = pickle.loads(pickle.dumps(record))
         assert again == record
         assert type(again) is type(record)
+
+
+class TestExports:
+    MODULES = (arith, errors, expansion, jenkins, midy, order, progression)
+
+    def test_package_exports_what_its_modules_export(self):
+        joined = [name for module in self.MODULES for name in module.__all__]
+        assert midylab.__all__ == joined
+        assert len(set(joined)) == len(joined)
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert getattr(midylab, name) is getattr(module, name), name
 
 
 class TestFactorization:
