@@ -251,48 +251,28 @@ def _scan_text(task) -> str:
     )
 
 
-# A scan worker sends each chunk as one frame on its own pipe: a kind
-# byte, the payload's length in decimal and a newline, then the UTF-8
-# payload.  The error that ends a worker is a frame too, so the parent
-# raises it again after writing every chunk before it, as --jobs 1 does.
-_TEXT = b"T"
-_BOUNDED = b"B"  # payload: the bound, a newline, the message
-_DOMAIN = b"M"  # payload: the message of a MidylabError
+# A scan worker sends each chunk as one frame on its own pipe: the
+# payload's length in decimal and a newline, then the UTF-8 payload.  A
+# worker that stops, by an error or a signal, sends no more frames, and
+# the parent renders each chunk it did not get.  An error is then raised
+# in process after every chunk before it, as --jobs 1 does.
 
 
-def _write_frame(pipe, kind: bytes, text: str) -> None:
+def _write_frame(pipe, text: str) -> None:
     data = text.encode()
-    pipe.write(b"%s%d\n" % (kind, len(data)))
+    pipe.write(b"%d\n" % len(data))
     pipe.write(data)
     pipe.flush()
 
 
 def _read_frame(pipe) -> str:
-    """The text of the next chunk on pipe, or raise the error it carries."""
+    """The text of the next chunk on pipe, or "" if no whole frame came."""
     header = pipe.readline()
-    size = int(header[1:]) if header.endswith(b"\n") else -1
-    data = pipe.read(max(size, 0))
-    if len(data) != size:
-        raise RuntimeError("a scan worker ended before writing its chunk")
-    kind, text = header[:1], data.decode()
-    if kind == _TEXT:
-        return text
-    if kind == _BOUNDED:
-        bound, _, message = text.partition("\n")
-        raise BoundedSearchError(message, int(bound))
-    raise MidylabError(text)
-
-
-def _scan_worker(tasks, fd: int) -> None:
-    """Render tasks in order into frames on fd, stopping at the first error."""
-    with open(fd, "wb") as pipe:
-        try:
-            for task in tasks:
-                _write_frame(pipe, _TEXT, _scan_text(task))
-        except BoundedSearchError as exc:
-            _write_frame(pipe, _BOUNDED, f"{exc.bound}\n{exc}")
-        except MidylabError as exc:
-            _write_frame(pipe, _DOMAIN, str(exc))
+    if not header.endswith(b"\n"):
+        return ""
+    size = int(header)
+    data = pipe.read(size)
+    return data.decode() if len(data) == size else ""
 
 
 def _chunks(b: int, starts: range, hi: int, fmt: str):
@@ -311,28 +291,24 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
             r, fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                # The child never returns: it must not run the parent's
-                # handlers, nor flush the stdout buffer it inherited,
-                # which may hold the CSV header.
-                status = 1
+                # The child never returns and prints nothing, whatever
+                # ends it: it must not run the parent's handlers, nor
+                # flush the stdout buffer it inherited, which may hold
+                # the CSV header.
                 try:
                     os.close(r)
                     for reader in readers:
                         reader.close()
-                    _scan_worker(_chunks(b, starts[w::workers], hi, fmt), fd)
-                    status = 0
-                except BrokenPipeError:
-                    pass  # the parent stopped reading
-                except Exception:
-                    sys.excepthook(*sys.exc_info())
-                    sys.stderr.flush()
+                    with open(fd, "wb") as pipe:
+                        for task in _chunks(b, starts[w::workers], hi, fmt):
+                            _write_frame(pipe, _scan_text(task))
                 finally:
-                    os._exit(status)
+                    os._exit(0)
             pids.append(pid)
             os.close(fd)
             readers.append(open(r, "rb"))
-        for i, _ in enumerate(starts):
-            out.write(_read_frame(readers[i % workers]))
+        for i, task in enumerate(_chunks(b, starts, hi, fmt)):
+            out.write(_read_frame(readers[i % workers]) or _scan_text(task))
     finally:
         # A worker still rendering meets a closed pipe at its next frame.
         for reader in readers:
@@ -350,8 +326,9 @@ def _cmd_scan(args, out) -> int:
         out.write("n,base,order,midy_set\n")
     # Never start more workers than there are chunks or CPUs; with one
     # worker, or where os.fork does not exist, the scan runs in process.
-    n_chunks = -(-(hi - args.start) // SCAN_CHUNK_ROWS)
-    workers = min(args.jobs, n_chunks, os.cpu_count() or 1)
+    # The chunks are counted up to --jobs only: len(starts) overflows
+    # on a range of more than sys.maxsize chunks.
+    workers = min(len(starts[: args.jobs]), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         _forked_scan(args.base, starts, hi, args.format, workers, out)
     else:

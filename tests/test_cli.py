@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -529,9 +530,9 @@ class TestScanBudget:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rho_budget_in_a_scan_exits_3(self, monkeypatch, capsys, jobs):
         # The first chunk near 10**12 has rows with two prime factors above
-        # 1000, which only rho splits.  At jobs 2 the error is raised in a
-        # forked worker, which inherits the patched limit, and has to
-        # reach the parent whole.
+        # 1000, which only rho splits.  At jobs 2 the forked worker, which
+        # inherits the patched limit, stops at that chunk, and the parent
+        # renders it again and raises the error itself.
         monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out = run_cli(["scan", "--base", "7", "--from", "1000000000001",
@@ -544,7 +545,8 @@ class TestScanBudget:
     def test_scan_past_the_factoring_limit_exits_3(self, jobs):
         # Three chunks of 3322-bit rows: the sieve refuses each window
         # before it is built, where rho would run for minutes.  At jobs 2
-        # the error reaches the parent in a worker's frame.
+        # each worker stops at its first chunk, and the parent renders
+        # the first chunk again and raises the error itself.
         lo = 10**1000 + 1
         proc, elapsed = run_cli_process(
             ["scan", "--base", "10", "--from", str(lo), "--to", str(lo + 700),
@@ -586,27 +588,6 @@ class TestScanBudget:
         assert out.splitlines()[-1].startswith("769,")
         assert err == f"error: {error}\n"
 
-    @pytest.mark.parametrize(
-        "kind,text",
-        [(cli._BOUNDED, "5\nout of\nbudget"), (cli._DOMAIN, "bad row")],
-        ids=["bounded", "domain"],
-    )
-    def test_error_frames_carry_the_error(self, kind, text):
-        pipe = io.BytesIO()
-        cli._write_frame(pipe, cli._TEXT, "3,10,1,\n")
-        cli._write_frame(pipe, kind, text)
-        pipe.seek(0)
-        assert cli._read_frame(pipe) == "3,10,1,\n"
-        with pytest.raises(cli.MidylabError) as info:
-            cli._read_frame(pipe)
-        if kind == cli._BOUNDED:
-            assert type(info.value) is BoundedSearchError
-            assert (str(info.value), info.value.bound) == ("out of\nbudget", 5)
-        else:
-            assert str(info.value) == "bad row"
-        with pytest.raises(RuntimeError):
-            cli._read_frame(pipe)  # the worker ended without a frame
-
 
 class TestScanWorkerCrash:
     def test_unexpected_exception_ends_the_scan(self):
@@ -634,7 +615,29 @@ class TestScanWorkerCrash:
         assert time.monotonic() - start < 5
         assert proc.returncode != 0
         assert proc.stdout == "n,base,order,midy_set\n"
-        assert "ZeroDivisionError: boom" in proc.stderr
+        # The workers stop without a word; the parent renders the first
+        # chunk itself and raises the error once, as --jobs 1 does.
+        assert proc.stderr.count("Traceback") == 1
+        assert proc.stderr.count("ZeroDivisionError: boom") == 1
+        assert "RuntimeError" not in proc.stderr
+
+    def test_killed_worker_leaves_its_chunks_to_the_parent(self, forks, monkeypatch):
+        # Each worker is killed at its first chunk from row 770 on (the
+        # fourth and fifth of eight); the parent renders them and every
+        # chunk after them, and the scan ends as --jobs 1 does.
+        parent = os.getpid()
+        scan_text = cli._scan_text
+
+        def killed_in_a_worker(task):
+            if os.getpid() != parent and task[1] >= 770:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scan_text(task)
+
+        monkeypatch.setattr(cli, "_scan_text", killed_in_a_worker)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
+        assert run_cli(argv + ["--jobs", "2"]) == (0, serial_scan(tuple(argv)))
+        assert forks == [2]
 
 
 class TestScanBrokenPipe:
