@@ -237,7 +237,12 @@ class Factorization(tuple):
 # increments, before factor gives up with BoundedSearchError.  Rho finds
 # a prime factor p in about sqrt(p) steps, so this reaches factors near
 # 10**11, eight times the largest need in the tests and the benchmark's
-# queries, and stops within a second on a 2-vCPU VM (Python 3.11).
+# queries.  The bound holds per split, not per factor call: each
+# _rho_brent call of _factor_into starts a fresh budget, so a number of
+# many mid-size primes spends it once per split.  On a 2-vCPU VM (Python
+# 3.11) one of fifteen 34-bit primes took 5.3 s to answer, and one of
+# thirteen 39-bit primes 8.1 s to exit 3.  ROADMAP item 3 charges every
+# split of one factor call to one budget.
 RHO_STEP_LIMIT = 2**20
 
 

@@ -240,50 +240,84 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
     )
 
 
-def _scan_text(task) -> str:
-    """Decide the rows of n in [lo, hi) coprime to b and render them as fmt."""
+def _scan_rows(task):
+    """Decide the rows of n in [lo, hi) coprime to b, and yield the line
+    of each as fmt renders it."""
     b, lo, hi, fmt = task
     # _scan_row is looked up at call time, so a rebinding sees every row.
-    return "".join(
-        _scan_row(b, n, Factorization(factors), fmt)
-        for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi))
-        if math.gcd(n, b) == 1
-    )
+    for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi)):
+        if math.gcd(n, b) == 1:
+            yield _scan_row(b, n, Factorization(factors), fmt)
+
+
+def _scan_text(task) -> str:
+    """The text of the rows of n in [lo, hi) coprime to b, rendered as fmt."""
+    return "".join(_scan_rows(task))
 
 
 # A scan worker sends each chunk as one frame on its own pipe: the
-# payload's length in decimal and a newline, then the UTF-8 payload.  A
-# worker that stops, by an error or a signal, sends no more frames, and
-# the parent renders each chunk it did not get.  An error is then raised
-# in process after every chunk before it, as --jobs 1 does.
+# payload's length in decimal and a newline, then the payload, which is
+# the chunk's rows in ASCII.  No process holds a second whole copy of a
+# chunk: the worker writes its list of rows one by one after the header,
+# and the parent copies the payload to out's bytes layer in blocks of at
+# most FRAME_BLOCK bytes as they arrive.  A worker that stops, by an
+# error or a signal, sends no more frames, and the parent renders each
+# chunk that did not come whole, writing only the bytes past those it
+# copied.  An error is then raised in process after every chunk before
+# it, as --jobs 1 does.
+FRAME_BLOCK = 1 << 16
 
 
-def _write_frame(pipe, text: str) -> None:
-    data = text.encode()
-    pipe.write(b"%d\n" % len(data))
-    pipe.write(data)
+def _write_frame(pipe, rows: list[bytes]) -> None:
+    pipe.write(b"%d\n" % sum(map(len, rows)))
+    pipe.writelines(rows)
     pipe.flush()
 
 
-def _read_frame(pipe) -> str:
-    """The text of the next chunk on pipe, or "" if no whole frame came."""
+def _copy_frame(pipe, write) -> tuple[bool, int]:
+    """Pass the payload of the next frame on pipe to write in blocks of at
+    most FRAME_BLOCK bytes.  Returns whether the whole frame came, and
+    how many payload bytes were passed on: (False, 0) if no header came,
+    (True, 0) for a chunk with no row."""
     header = pipe.readline()
     if not header.endswith(b"\n"):
-        return ""
-    size = int(header)
-    data = pipe.read(size)
-    return data.decode() if len(data) == size else ""
+        return False, 0
+    size, copied = int(header), 0
+    while copied < size:
+        block = pipe.read(min(size - copied, FRAME_BLOCK))
+        if not block:
+            break
+        write(block)
+        copied += len(block)
+    return copied == size, copied
 
 
 def _chunks(b: int, starts: range, hi: int, fmt: str):
-    """The _scan_text task of each chunk that starts at a row in starts."""
+    """The _scan_rows task of each chunk that starts at a row in starts."""
     return ((b, a, min(a + SCAN_CHUNK_ROWS, hi), fmt) for a in starts)
 
 
 def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) -> None:
     """Write the chunks' text to out in order, worker w rendering chunks
     w, w + workers, ...  A worker blocks once its pipe is full, so the
-    text in memory stays bounded whatever the range or the reader."""
+    text in memory stays bounded whatever the range or the reader: each
+    worker holds the rows of the chunk it is on, and the parent one
+    block of a frame.  Scanning 10**12 + 1..10**12 + 1000 in base 7 as
+    JSON (2 workers, 3.5 MB of output; 2-vCPU VM, Python 3.11), the
+    parent's peak RSS is 15.3-15.4 MB against 15.2-15.3 MB after its
+    imports, and the larger worker's 13.0-13.2 MB.  Holding each frame
+    whole, they were 16.6-16.8 MB against 15.0 MB, and 14.6-14.8 MB.
+
+    Where out has no bytes layer (io.StringIO), or one whose encoding
+    does not write ASCII as is, each frame is read whole and written as
+    one str."""
+    buffer = getattr(out, "buffer", None)
+    if buffer is not None and "n\n".encode(out.encoding) != b"n\n":
+        buffer = None
+    if buffer is not None:
+        # The text written so far (the CSV header) goes ahead of the
+        # frames, and out of the buffer each worker inherits.
+        out.flush()
     pids = []
     readers = []
     try:
@@ -301,14 +335,29 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
                         reader.close()
                     with open(fd, "wb") as pipe:
                         for task in _chunks(b, starts[w::workers], hi, fmt):
-                            _write_frame(pipe, _scan_text(task))
+                            # No name holds the rows past their frame.
+                            _write_frame(
+                                pipe, [row.encode() for row in _scan_rows(task)]
+                            )
                 finally:
                     os._exit(0)
             pids.append(pid)
             os.close(fd)
             readers.append(open(r, "rb"))
         for i, task in enumerate(_chunks(b, starts, hi, fmt)):
-            out.write(_read_frame(readers[i % workers]) or _scan_text(task))
+            pipe = readers[i % workers]
+            if buffer is None:
+                blocks = []
+                whole, _ = _copy_frame(pipe, blocks.append)
+                out.write(b"".join(blocks).decode() if whole else _scan_text(task))
+                continue
+            whole, copied = _copy_frame(pipe, buffer.write)
+            if not whole:
+                # Every row is rendered before one is written, so a row
+                # that raises leaves out as --jobs 1 does.
+                for data in [row.encode() for row in _scan_rows(task)]:
+                    buffer.write(data[copied:])
+                    copied = max(copied - len(data), 0)
     finally:
         # A worker still rendering meets a closed pipe at its next frame.
         for reader in readers:

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -565,10 +566,12 @@ class TestScanBudget:
         ids=["bounded", "domain"],
     )
     def test_a_worker_error_ends_the_scan_as_at_jobs_1(
-        self, monkeypatch, capsys, error
+        self, monkeypatch, capsys, tmp_path, error
     ):
         # n = 1001 is in the fourth chunk, 770..1025, which the second
-        # worker renders; the three before it are written whole.
+        # worker renders; the three before it are written whole, and no
+        # row of the fourth, to a text stream as to a file, whose bytes
+        # layer the parent writes the frames to.
         scan_row = cli._scan_row
 
         def failing_row(b, n, factors, fmt):
@@ -582,7 +585,9 @@ class TestScanBudget:
         seen = []
         for jobs in ("1", "2"):
             seen.append((*run_cli(argv + ["--jobs", jobs]), capsys.readouterr().err))
-        assert seen[0] == seen[1]
+            code = run_cli_to_file(argv + ["--jobs", jobs], tmp_path / jobs)
+            seen.append((code, (tmp_path / jobs).read_text(), capsys.readouterr().err))
+        assert seen[1:] == seen[:1] * 3
         code, out, err = seen[0]
         assert code == (3 if isinstance(error, BoundedSearchError) else 1)
         assert out.splitlines()[-1].startswith("769,")
@@ -626,18 +631,129 @@ class TestScanWorkerCrash:
         # fourth and fifth of eight); the parent renders them and every
         # chunk after them, and the scan ends as --jobs 1 does.
         parent = os.getpid()
-        scan_text = cli._scan_text
+        scan_rows = cli._scan_rows
 
         def killed_in_a_worker(task):
             if os.getpid() != parent and task[1] >= 770:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return scan_text(task)
+            return scan_rows(task)
 
-        monkeypatch.setattr(cli, "_scan_text", killed_in_a_worker)
+        monkeypatch.setattr(cli, "_scan_rows", killed_in_a_worker)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
         assert run_cli(argv + ["--jobs", "2"]) == (0, serial_scan(tuple(argv)))
         assert forks == [2]
+
+
+def run_cli_to_file(argv, path, encoding="utf-8"):
+    """Run main() with stdout a text file, which has a bytes layer below
+    it as the real stdout does; returns the exit code."""
+    old = sys.stdout
+    with open(path, "w", encoding=encoding) as sys.stdout:
+        try:
+            return cli.main(argv)
+        finally:
+            sys.stdout = old
+
+
+@pytest.fixture
+def parent_renders(monkeypatch):
+    """Record the first row of each chunk the parent renders itself."""
+    parent = os.getpid()
+    rendered = []
+    scan_rows = cli._scan_rows
+
+    def recording_rows(task):
+        if os.getpid() == parent:
+            rendered.append(task[1])
+        return scan_rows(task)
+
+    monkeypatch.setattr(cli, "_scan_rows", recording_rows)
+    return rendered
+
+
+class TestScanFrames:
+    """Frames of a forked scan, copied to a stdout with a bytes layer."""
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_jobs_do_not_change_the_bytes(self, forks, monkeypatch, tmp_path, encoding):
+        # A UTF-16 stdout does not write the rows' ASCII as is, so the
+        # frames go through its text layer there.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
+        for jobs in ("1", "2"):
+            path = tmp_path / jobs
+            assert run_cli_to_file(argv + ["--jobs", jobs], path, encoding) == 0
+        assert forks == [2]
+        assert (tmp_path / "2").read_bytes() == (tmp_path / "1").read_bytes()
+
+    def test_worker_killed_mid_frame(self, forks, parent_renders, monkeypatch, tmp_path):
+        # The second worker sends the header of chunk 770..1025 and its
+        # first rows, the last of them cut short, and is killed.  The
+        # parent has copied those bytes; it writes the rest of that chunk
+        # and renders the later chunks of that worker, and nothing else.
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
+        want = serial_scan(tuple(argv))
+        parent_renders.clear()
+        write_frame = cli._write_frame
+
+        def killed_mid_frame(pipe, rows):
+            if rows[0].startswith(b"771,"):
+                pipe.write(b"%d\n" % sum(map(len, rows)))
+                pipe.writelines(rows[:40])
+                pipe.write(rows[40][:5])
+                pipe.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_frame(pipe, rows)
+
+        monkeypatch.setattr(cli, "_write_frame", killed_mid_frame)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run_cli_to_file(argv + ["--jobs", "2"], tmp_path / "out") == 0
+        assert forks == [2]
+        assert (tmp_path / "out").read_text() == want
+        assert parent_renders == [770, 1282, 1794]
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["text", "bytes"])
+    def test_a_chunk_with_no_row_comes_as_an_empty_frame(
+        self, forks, parent_renders, monkeypatch, tmp_path, to_file
+    ):
+        # 258, alone in the second chunk, shares 2 with the base.  Its
+        # worker sends a frame of 0 bytes, which the parent takes as the
+        # chunk's text instead of rendering the chunk again.
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "258"]
+        want = serial_scan(tuple(argv))
+        parent_renders.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        if to_file:
+            assert run_cli_to_file(argv + ["--jobs", "2"], tmp_path / "out") == 0
+            got = (tmp_path / "out").read_text()
+        else:
+            code, got = run_cli(argv + ["--jobs", "2"])
+            assert code == 0
+        assert forks == [2]
+        assert got == want
+        assert parent_renders == []
+
+    def test_parent_holds_one_block_of_a_frame(self, forks, monkeypatch, tmp_path):
+        # Three chunks of JSON rows past 10**12, about 0.9 MB each.  The
+        # parent copies each frame in blocks of FRAME_BLOCK bytes and never
+        # holds a frame whole: its traced peak stays under half of one
+        # (it was 2,021 KB when it read, decoded and wrote each frame
+        # whole, against 2,629 KB of output).
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        lo = 10**12 + 1
+        argv = ["scan", "--base", "7", "--from", str(lo), "--to", str(lo + 767),
+                "--format", "json", "--jobs", "2"]
+        tracemalloc.start()
+        try:
+            code = run_cli_to_file(argv, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert forks == [2]
+        frame = (tmp_path / "out").stat().st_size / 3
+        assert peak < frame / 2, (peak, frame)
 
 
 class TestScanBrokenPipe:
