@@ -256,15 +256,14 @@ def _scan_text(task) -> str:
 
 
 # A scan worker sends each chunk as one frame on its own pipe: the
-# payload's length in decimal and a newline, then the payload, which is
-# the chunk's rows in ASCII.  No process holds a second whole copy of a
-# chunk: the worker writes its list of rows one by one after the header,
-# and the parent copies the payload to out's bytes layer in blocks of at
-# most FRAME_BLOCK bytes as they arrive.  A worker that stops, by an
-# error or a signal, sends no more frames, and the parent renders each
-# chunk that did not come whole, writing only the bytes past those it
-# copied.  An error is then raised in process after every chunk before
-# it, as --jobs 1 does.
+# payload's length in decimal and a newline, then the chunk's rows in
+# ASCII.  The worker writes the rows of its chunk one by one after the
+# header, and the parent copies the payload on in blocks of at most
+# FRAME_BLOCK bytes as they arrive.  A worker that stops, by an error or
+# a signal, sends no more frames, and the parent renders each chunk that
+# did not come whole, writing only the bytes past those it copied.  An
+# error is then raised in process after every chunk before it, as
+# --jobs 1 does.
 FRAME_BLOCK = 1 << 16
 
 
@@ -302,22 +301,22 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
     w, w + workers, ...  A worker blocks once its pipe is full, so the
     text in memory stays bounded whatever the range or the reader: each
     worker holds the rows of the chunk it is on, and the parent one
-    block of a frame.  Scanning 10**12 + 1..10**12 + 1000 in base 7 as
-    JSON (2 workers, 3.5 MB of output; 2-vCPU VM, Python 3.11), the
-    parent's peak RSS is 15.3-15.4 MB against 15.2-15.3 MB after its
-    imports, and the larger worker's 13.0-13.2 MB.  Holding each frame
-    whole, they were 16.6-16.8 MB against 15.0 MB, and 14.6-14.8 MB.
-
-    Where out has no bytes layer (io.StringIO), or one whose encoding
-    does not write ASCII as is, each frame is read whole and written as
-    one str."""
+    block of a frame."""
     buffer = getattr(out, "buffer", None)
-    if buffer is not None and "n\n".encode(out.encoding) != b"n\n":
+    if buffer is None or "n\n".encode(out.encoding) != b"n\n":
+        # io.StringIO has no bytes layer, and UTF-16 does not write ASCII
+        # as is: these get text.  The payload is ASCII, so every block
+        # decodes on its own.
         buffer = None
-    if buffer is not None:
+
+        def write(block: bytes) -> None:
+            out.write(block.decode())
+
+    else:
         # The text written so far (the CSV header) goes ahead of the
         # frames, and out of the buffer each worker inherits.
         out.flush()
+        write = buffer.write
     pids = []
     readers = []
     try:
@@ -345,19 +344,15 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
             os.close(fd)
             readers.append(open(r, "rb"))
         for i, task in enumerate(_chunks(b, starts, hi, fmt)):
-            pipe = readers[i % workers]
-            if buffer is None:
-                blocks = []
-                whole, _ = _copy_frame(pipe, blocks.append)
-                out.write(b"".join(blocks).decode() if whole else _scan_text(task))
-                continue
-            whole, copied = _copy_frame(pipe, buffer.write)
+            whole, copied = _copy_frame(readers[i % workers], write)
             if not whole:
-                # Every row is rendered before one is written, so a row
-                # that raises leaves out as --jobs 1 does.
-                for data in [row.encode() for row in _scan_rows(task)]:
-                    buffer.write(data[copied:])
-                    copied = max(copied - len(data), 0)
+                # The chunk is rendered whole before a byte of it is
+                # written, so a row that raises leaves out as --jobs 1 does.
+                write(_scan_text(task).encode()[copied:])
+            if buffer is not None:
+                # A terminal shows the chunk's last rows now, not once the
+                # next chunk's bytes push them out.
+                buffer.flush()
     finally:
         # A worker still rendering meets a closed pipe at its next frame.
         for reader in readers:

@@ -515,7 +515,12 @@ class TestScanStreaming:
         assert header + "".join(text for _, text in writes) == header + "".join(
             row + pad for row in rows
         )
-        assert len(writes) == 12  # one per chunk
+        if jobs == 1:
+            assert len(writes) == 12  # one per chunk
+        else:
+            # The parent passes each frame on in blocks, never whole.
+            assert len(writes) > 12
+            assert max(len(text) for _, text in writes) <= cli.FRAME_BLOCK
         decided = log.stat().st_size
         assert decided == len(rows) == sum(1 for n in range(2, 3001) if n % 2 and n % 5)
         assert writes[0][0] < decided
@@ -733,6 +738,35 @@ class TestScanFrames:
         assert forks == [2]
         assert got == want
         assert parent_renders == []
+
+    def test_each_chunk_is_flushed_before_the_next_frame(self, forks, monkeypatch, tmp_path):
+        # A chunk of these rows is smaller than the bytes layer's buffer,
+        # which would hold it back until the next chunk pushed it out: a
+        # terminal would show each chunk one chunk late.  The parent
+        # flushes after every chunk, so when it starts on a frame the
+        # file holds the header and every chunk before it.
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
+        lines = serial_scan(tuple(argv)).encode().splitlines(True)
+        want = [
+            sum(len(line) for line in lines[1:] if int(line.split(b",")[0]) < a)
+            + len(lines[0])
+            for a in range(2, 1001, cli.SCAN_CHUNK_ROWS)
+        ]
+        path = tmp_path / "out"
+        seen = []
+        copy_frame = cli._copy_frame
+
+        def recording_copy(pipe, write):
+            seen.append(path.stat().st_size)
+            return copy_frame(pipe, write)
+
+        monkeypatch.setattr(cli, "_copy_frame", recording_copy)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run_cli_to_file(argv + ["--jobs", "2"], path) == 0
+        assert forks == [2]
+        assert len(want) == 4
+        assert seen == want
+        assert path.read_bytes() == b"".join(lines)
 
     def test_parent_holds_one_block_of_a_frame(self, forks, monkeypatch, tmp_path):
         # Three chunks of JSON rows past 10**12, about 0.9 MB each.  The
