@@ -223,17 +223,23 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
     # Every value is an int, which json writes as its repr, so these
     # f-strings are the bytes _json would make of the row, without a
     # PrimeCertificate, a dict or an encoder call per excluded divisor.
+    # The text after d depends on p and nu_p(d) alone, so the row renders
+    # it once per pair.
     members = []
     excluded = []
+    tails = {}
     for d, culprit in zip(divisors, culprits):
         if culprit is None:
             members.append(str(d))
-        else:
-            p = culprit[0]
-            excluded.append(
-                f'{{"d":{d},"certificate":{{"p":{p},"nu_n":{culprit[1]},'
-                f'"nu_d":{arith.valuation(p, d)}}}}}'
+            continue
+        p = culprit[0]
+        nu_d = arith.valuation(p, d) if d % p == 0 else 0
+        tail = tails.get((p, nu_d))
+        if tail is None:
+            tail = tails[p, nu_d] = (
+                f',"certificate":{{"p":{p},"nu_n":{culprit[1]},"nu_d":{nu_d}}}}}'
             )
+        excluded.append(f'{{"d":{d}{tail}')
     return (
         f'{{"n":{n},"base":{b},"order":{profile.order},'
         f'"midy_set":[{",".join(members)}],"excluded":[{",".join(excluded)}]}}\n'
@@ -317,6 +323,7 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
         # frames, and out of the buffer each worker inherits.
         out.flush()
         write = buffer.write
+    parent = os.getpid()
     pids = []
     readers = []
     try:
@@ -334,10 +341,15 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
                         reader.close()
                     with open(fd, "wb") as pipe:
                         for task in _chunks(b, starts[w::workers], hi, fmt):
-                            # No name holds the rows past their frame.
-                            _write_frame(
-                                pipe, [row.encode() for row in _scan_rows(task)]
-                            )
+                            rows = []
+                            for row in _scan_rows(task):
+                                # A worker whose parent died is adopted by
+                                # another process: it stops within a row,
+                                # not at its next frame.
+                                if os.getppid() != parent:
+                                    os._exit(0)
+                                rows.append(row.encode())
+                            _write_frame(pipe, rows)
                 finally:
                     os._exit(0)
             pids.append(pid)

@@ -631,6 +631,46 @@ class TestScanWorkerCrash:
         assert proc.stderr.count("ZeroDivisionError: boom") == 1
         assert "RuntimeError" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_workers_stop_when_the_main_process_is_killed(self):
+        # Rows of 20 ms make a chunk last 5 s.  The main process, alone in
+        # its session, is killed while both workers render their first
+        # chunk; each must stop within a row, not when it writes a frame.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys, time\n"
+            "from midylab import cli\n"
+            "scan_row = cli._scan_row\n"
+            "def slow_row(*args):\n"
+            "    time.sleep(0.02)\n"
+            "    return scan_row(*args)\n"
+            "cli._scan_row = slow_row\n"
+            "cli.os.cpu_count = lambda: 2\n"
+            "sys.exit(cli.main(['scan', '--base', '10', '--from', '2',"
+            " '--to', '100000', '--jobs', '2']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 10
+            while len(session_processes(proc.pid)) < 3:
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.01)
+            time.sleep(0.1)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 1
+            while session_processes(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session_processes(proc.pid) == []
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
     def test_killed_worker_leaves_its_chunks_to_the_parent(self, forks, monkeypatch):
         # Each worker is killed at its first chunk from row 770 on (the
         # fourth and fifth of eight); the parent renders them and every
@@ -648,6 +688,22 @@ class TestScanWorkerCrash:
         argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
         assert run_cli(argv + ["--jobs", "2"]) == (0, serial_scan(tuple(argv)))
         assert forks == [2]
+
+
+def session_processes(sid):
+    """The pids of the processes of session sid that are not zombies."""
+    pids = []
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                stat = f.read()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # the process ended while the list was read
+        # After "(comm)": state, ppid, process group, session, ...
+        state, _, _, session = stat[stat.rindex(")") + 2 :].split()[:4]
+        if int(session) == sid and state != "Z":
+            pids.append(int(name))
+    return pids
 
 
 def run_cli_to_file(argv, path, encoding="utf-8"):
@@ -890,6 +946,22 @@ class TestScanRowJson:
         rows = self.assert_rows_match(3, [n for n in range(1, 301) if n % 3])
         # The even N carry the p = 2 certificates of the 2-adic allowance.
         assert any('"p":2,' in row for row in rows)
+
+    def test_certificates_are_those_of_ppl2(self):
+        # Base 3 over 1..2000 has culprits at odd and even p, each with
+        # nu_p(d) = 0 and > 0; every kind must occur.
+        kinds = set()
+        certificates = 0
+        for line in cli._scan_text((3, 1, 2001, "json")).splitlines():
+            row = json.loads(line)
+            n = row["n"]
+            for item in row["excluded"]:
+                cert = item["certificate"]
+                assert cert == midy.midy_check_ppl2(3, n, item["d"]).certificate._asdict()
+                kinds.add((cert["p"] == 2, cert["nu_d"] > 0))
+                certificates += 1
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+        assert certificates == 4398
 
     def test_base_seven_near_10_to_12(self):
         self.assert_rows_match(7, [10**12 + i for i in (1, 2, 3, 4, 8)])
