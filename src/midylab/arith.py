@@ -3,8 +3,8 @@
 Everything operates on plain Python ints (arbitrary precision, never
 negative here); gcds and modular powers are math.gcd and pow.  All
 functions are pure; nothing in this module keeps state between calls
-but the table of primes below SIEVE_PRIME_LIMIT, built once on first
-need.
+but the table of primes below SIEVE_PRIME_LIMIT and those of Pollard's
+p - 1, each built once on first need.
 
 is_prime is a strong-pseudoprime (Miller-Rabin) test whose bases grow
 with n: below psi_k, the least strong pseudoprime to the first k prime
@@ -18,7 +18,14 @@ MILLER_RABIN_PROVEN_BOUND on, the verdict rests on 25 bases and is no
 proof; is_prime_proven says which.
 
 factor takes out every prime below 1000 with one gcd against their
-product and Brent's rho finds the rest.  _factor_lists factors a whole
+product and Brent's rho finds the rest, on one budget of RHO_STEP_LIMIT
+steps for all its splits.  Once rho has run 2,046 steps on a number, at
+the start of its round r = 1024, it tries Pollard's p - 1 method once
+(Pollard, "Theorems on factorization and primality testing", Proc.
+Cambridge Philos. Soc. 76, 1974): stage 1 with B1 = 2000, which returns
+at once when its gcd splits the number, then the standard stage 2 up to
+B2 = 20000 (Montgomery, "Speeding the Pollard and elliptic curve methods
+of factorization", Math. Comp. 48, 1987).  _factor_lists factors a whole
 window of consecutive numbers with one sieve by every prime up to the
 square root of its top, but none of SIEVE_PRIME_LIMIT = 10**5 or more,
 so a range scan never trial-divides a number on its own, and below
@@ -233,34 +240,94 @@ class Factorization(tuple):
         return tuple(p for p, _ in self)
 
 
-# Squaring steps Brent's rho may take on one number, over all its
-# increments, before factor gives up with BoundedSearchError.  Rho finds
-# a prime factor p in about sqrt(p) steps, so this reaches factors near
-# 10**11, eight times the largest need in the tests and the benchmark's
-# queries.  The bound holds per split, not per factor call: each
-# _rho_brent call of _factor_into starts a fresh budget, so a number of
-# many mid-size primes spends it once per split.  On a 2-vCPU VM (Python
-# 3.11) one of fifteen 34-bit primes took 5.3 s to answer, and one of
-# thirteen 39-bit primes 8.1 s to exit 3.  ROADMAP item 3 charges every
-# split of one factor call to one budget.
+# Squaring steps Brent's rho may take over all the splits of one factor
+# call (and of one row of _factor_lists), before it gives up with
+# BoundedSearchError.  Rho finds a prime factor p in about sqrt(p) steps,
+# so this reaches factors near 10**11, eight times the largest need in the
+# tests and the benchmark's queries.  _factor_into passes what is left of
+# it from split to split.  The fixed work of _pollard_pm1 (0.5 ms at 56
+# bits, 4 ms at 512 on a 2-vCPU VM, Python 3.11) is not charged to it.
 RHO_STEP_LIMIT = 2**20
 
+# Pollard's p - 1 (sources in the module docstring).  Stage 1 finds a
+# prime p of n when p - 1 is _PM1_B1-smooth, stage 2 also when p - 1 is
+# such a number times one prime up to _PM1_B2.  _rho_brent tries it once,
+# when its own steps reach _PM1_GATE, at the start of its round r = 1024,
+# so a number that rho splits sooner never pays for it.
+_PM1_B1 = 2000
+_PM1_B2 = 20000
+_PM1_GATE = 2046
 
-def _rho_brent(n: int) -> int:
-    """Find a nontrivial factor of odd composite n.  Deterministic: the
-    polynomial increment is stepped through a fixed sequence.  Each
-    doubling of r is charged its 2 * r squarings of y before it starts,
-    so those never pass RHO_STEP_LIMIT."""
+
+@functools.cache
+def _pm1_tables() -> tuple[int, int, bytes]:
+    """Stage 1's exponent, the product of the largest power up to _PM1_B1
+    of every prime up to it (2,878 bits); the largest of those primes; and
+    the gaps from it through the primes up to _PM1_B2, one byte each
+    (1,959 gaps, all even, none above 52)."""
+    exponent = start = last = 1
+    gaps = bytearray()
+    for p in _sieve(_PM1_B2 + 1):
+        if p <= _PM1_B1:
+            q = p
+            while q * p <= _PM1_B1:
+                q *= p
+            exponent *= q
+            start = p
+        else:
+            gaps.append(p - last)
+        last = p
+    return exponent, start, bytes(gaps)
+
+
+def _pollard_pm1(n: int) -> int:
+    """A proper factor of odd composite n by Pollard's p - 1 method, or 1.
+
+    Stage 1 sets a = 2**E mod n for the E of _pm1_tables and returns
+    gcd(a - 1, n) at once when it splits n.  Stage 2 walks a**q through
+    the primes q in (_PM1_B1, _PM1_B2] by their gaps, two multiplications
+    mod n each, and takes one gcd of the product of the a**q - 1.  When
+    the gcd is n, every prime of n was found at once, and the answer is 1.
+    """
+    exponent, q, gaps = _pm1_tables()
+    a = pow(2, exponent, n)
+    g = math.gcd(a - 1, n)
+    if g == 1:
+        # step[i] = a**(2 * i), for every gap up to the largest, 52.
+        step = [1, a * a % n]
+        for _ in range(25):
+            step.append(step[-1] * step[1] % n)
+        x = pow(a, q, n)
+        acc = 1
+        for gap in gaps:
+            x = x * step[gap >> 1] % n
+            acc = acc * (x - 1) % n
+        g = math.gcd(acc, n)
+    return g if g < n else 1
+
+
+def _rho_brent(n: int, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of odd composite n, and the squaring steps it
+    took.  Deterministic: the polynomial increment is stepped through a
+    fixed sequence.  Each doubling of r is charged its 2 * r squarings of
+    y before it starts, so those never pass budget.  Once the steps reach
+    _PM1_GATE, _pollard_pm1 is tried once."""
     if n % 2 == 0:
-        return 2
+        return 2, 0
     steps = 0
+    gate = _PM1_GATE
     for c in range(1, 1000):
         y, m = 2, 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps >= gate:
+                gate = math.inf
+                d = _pollard_pm1(n)
+                if d > 1:
+                    return d, steps
             steps += 2 * r
-            if steps > RHO_STEP_LIMIT:
+            if steps > budget:
                 raise BoundedSearchError(
                     f"no factor of {n} found within {RHO_STEP_LIMIT} rho steps",
                     RHO_STEP_LIMIT,
@@ -283,19 +350,21 @@ def _rho_brent(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
     raise DomainError(f"rho factorization failed for {n}")  # pragma: no cover
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
+def _factor_into(n: int, out: dict[int, int], budget: int) -> int:
+    """Count the primes of n into out, with at most budget rho steps over
+    all splits; return the steps left."""
     if n == 1:
-        return
+        return budget
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
-        return
-    d = _rho_brent(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+        return budget
+    d, steps = _rho_brent(n, budget)
+    budget = _factor_into(d, out, budget - steps)
+    return _factor_into(n // d, out, budget)
 
 
 # Most bits of a number factor accepts.  Rho's step budget costs more the
@@ -321,8 +390,11 @@ def factor(n: int) -> Factorization:
 
     The primes below 1000 come from one gcd with their product, then
     Brent's cycle method with a deterministic parameter schedule splits
-    whatever composite remains.  An n of more than FACTOR_BIT_LIMIT bits
-    raises BoundedSearchError.
+    whatever composite remains.  A rho call that has not split its number
+    after 2,046 steps tries Pollard's p - 1 once, stage 1 to B1 = 2000
+    and stage 2 to B2 = 20000, and goes on when that fails.  All the
+    splits share RHO_STEP_LIMIT steps; past them, and for an n of more
+    than FACTOR_BIT_LIMIT bits, it raises BoundedSearchError.
     """
     if n < 1:
         raise DomainError("factor requires n >= 1")
@@ -348,7 +420,7 @@ def factor(n: int) -> Factorization:
             found.append((n, 1))
         else:
             big: dict[int, int] = {}
-            _factor_into(n, big)
+            _factor_into(n, big, RHO_STEP_LIMIT)
             found.extend(sorted(big.items()))
     return Factorization(found)
 
@@ -413,6 +485,6 @@ def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
             factors.append((m, 1))
         else:
             big: dict[int, int] = {}
-            _factor_into(m, big)
+            _factor_into(m, big, RHO_STEP_LIMIT)
             factors.extend(sorted(big.items()))
     return found

@@ -314,6 +314,105 @@ class TestRhoBudget:
         with pytest.raises(BoundedSearchError):
             arith.factor(self.N)
 
+    def test_one_budget_for_every_split(self, monkeypatch):
+        # Rho splits 1000099 off in 1022 steps, then N in 1022 more, so
+        # one factor call needs 2044 steps though no split needs over 1022.
+        n = 1000099 * self.N
+        want = ((1000003, 1), (1000033, 1), (1000099, 1))
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 2044)
+        assert arith.factor(n).factors == want
+        for limit in (2043, 1022):
+            monkeypatch.setattr(arith, "RHO_STEP_LIMIT", limit)
+            with pytest.raises(BoundedSearchError) as info:
+                arith.factor(n)
+            assert info.value.bound == limit
+            assert str(self.N) in str(info.value)
+
+    def test_rows_of_a_window_have_a_budget_each(self, monkeypatch):
+        # Five rows of this window reach rho, N and one more for 1022
+        # steps each and 2,934 steps in all; each row is one factor call.
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1022)
+        lo, hi = self.N - 30, self.N + 30
+        assert factor_range(lo, hi) == [arith.factor(n) for n in range(lo, hi)]
+
+
+class TestPollardPm1:
+    """Pollard's p - 1 method, which _rho_brent tries once after
+    _PM1_GATE = 2046 of its own steps.  With the budget at the gate, rho
+    alone splits none of these numbers, so factor succeeds only through
+    p - 1."""
+
+    def stage1_splits(self, n):
+        exponent, _, _ = arith._pm1_tables()
+        return math.gcd(pow(2, exponent, n) - 1, n) != 1
+
+    def factor_at_the_gate(self, monkeypatch, n):
+        monkeypatch.setattr(arith, "RHO_STEP_LIMIT", arith._PM1_GATE)
+        return arith.factor(n)
+
+    def test_tables(self):
+        exponent, start, gaps = arith._pm1_tables()
+        assert exponent == math.prod(
+            p ** int(math.log(arith._PM1_B1 + 0.5, p))
+            for p in range(2, arith._PM1_B1 + 1) if is_prime_brute(p)
+        )
+        assert exponent.bit_length() == 2878
+        primes = list(itertools.accumulate(gaps, initial=start))
+        assert primes == [
+            p for p in range(1999, arith._PM1_B2 + 1) if is_prime_brute(p)
+        ]
+        assert len(gaps) == 1959 and max(gaps) == 52
+
+    def test_stage_1(self, monkeypatch):
+        p = 2 * 239 * 383 * 421 * 809 + 1
+        q = 2 * 5 * 13 * 15326929 + 1
+        assert is_prime_brute(p) and is_prime_brute(q)
+        assert self.stage1_splits(p * q)
+        assert arith._pollard_pm1(p * q) == p
+        assert self.factor_at_the_gate(monkeypatch, p * q).factors == ((q, 1), (p, 1))
+
+    def test_stage_2(self, monkeypatch):
+        # p - 1 has one prime, 9661, between _PM1_B1 and _PM1_B2.
+        p = 2 * 281 * 659 * 887 * 9661 + 1
+        q = 2**4 * 3 * 12655417 + 1
+        assert is_prime_brute(p) and is_prime_brute(q)
+        assert not self.stage1_splits(p * q)
+        assert arith._pollard_pm1(p * q) == p
+        assert self.factor_at_the_gate(monkeypatch, p * q).factors == ((q, 1), (p, 1))
+
+    def test_both_smooth(self, monkeypatch):
+        # Stage 1 finds both primes at once: the gcd is n itself.
+        p = 2 * 11 * 293 * 359 * 409 + 1
+        q = 2 * 829 * 919 * 929 + 1
+        assert is_prime_brute(p) and is_prime_brute(q)
+        assert arith._pollard_pm1(p * q) == 1
+        assert arith.factor(p * q).factors == ((p, 1), (q, 1))
+        with pytest.raises(BoundedSearchError):
+            self.factor_at_the_gate(monkeypatch, p * q)
+
+    def test_neither_smooth(self, monkeypatch):
+        p = 2**2 * 7 * 19566907 + 1
+        q = 2 * 3 * 5 * 62147999 + 1
+        assert is_prime_brute(p) and is_prime_brute(q)
+        assert arith._pollard_pm1(p * q) == 1
+        assert arith.factor(p * q).factors == ((p, 1), (q, 1))
+        with pytest.raises(BoundedSearchError):
+            self.factor_at_the_gate(monkeypatch, p * q)
+
+    def test_tried_once_per_rho_call_past_the_gate(self, monkeypatch):
+        calls = []
+        pm1 = arith._pollard_pm1
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n: calls.append(n) or pm1(n))
+        # Rho splits TestRhoBudget.N in 1022 steps, and 1000003 * 1000037
+        # in 2046, in its last round before the gate.
+        for n in (TestRhoBudget.N, 1000003 * 1000037):
+            assert arith.factor(n).value == n
+        assert calls == []
+        # Rho needs 65,534 steps here, and tries p - 1 once on the way.
+        n = (2**2 * 7 * 19566907 + 1) * (2 * 3 * 5 * 62147999 + 1)
+        assert arith.factor(n).value == n
+        assert calls == [n]
+
 
 def factor_range(lo, hi):
     return [arith.Factorization(f) for f in arith._factor_lists(lo, hi)]
