@@ -17,7 +17,7 @@ from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
 from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
-from .order import _order_divisors, _profile, order_mod
+from .order import _order_divisors, _profile, modulus_profile, order_mod
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -129,17 +129,14 @@ def _write_verdict(out, fmt, base, n, d, holds, method, cert) -> None:
         out.write(f"{method}: {state}{_certificate_text(cert)}\n")
 
 
-_METHODS = {
-    "ppl2": midy.midy_check_ppl2,
-    "ppl3": midy.midy_check_ppl3,
-    "direct": midy.midy_check_direct,
-}
+_METHODS = {"ppl2": midy._ppl2, "ppl3": midy._ppl3, "direct": midy._direct}
 
 
 def _cmd_midy_check(args, out) -> int:
     methods = list(_METHODS) if args.method == "all" else [args.method]
+    profile = modulus_profile(args.base, args.n)
     for name in methods:
-        holds, method, cert = _METHODS[name](args.base, args.n, args.d)
+        holds, method, cert = _METHODS[name](profile, args.d)
         _write_verdict(out, args.format, args.base, args.n, args.d, holds, method, cert)
     return EXIT_OK
 

@@ -2,10 +2,12 @@
 
 period_digits produces the minimal repeating digit block of x/N in base b
 by exact long division.  smallest_failing_x decides the block-sum
-divisibility property with no recourse to the structural deciders, from
-the long-division remainders of 1/N alone: the block sums of every
-numerator follow from them by the identity in its docstring, which is
-cross-checked digit-by-digit, numerator by numerator, in the test suite.
+divisibility property with no recourse to the structural deciders: the
+block sums of every numerator follow from the long-division remainders
+of 1/N by the identity in its docstring, which reduces the property to
+N dividing a geometric sum, tested in one modular power.  The identity
+is cross-checked digit-by-digit, numerator by numerator, in the test
+suite.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import BoundedSearchError, PreconditionError
-from .order import _check_block_count, modulus_profile
+from .order import ModulusProfile, _check_block_count, modulus_profile
 
 __all__ = [
     "BlockDecomposition",
-    "DIRECT_ORACLE_LIMIT",
     "PERIOD_DIGIT_LIMIT",
     "PeriodExpansion",
     "blocks_and_sum",
@@ -110,9 +111,19 @@ def blocks_and_sum(e: PeriodExpansion, d: int) -> BlockDecomposition:
     )
 
 
-# Largest modulus the direct oracle takes.  Its walk takes L < N
-# long-division steps: up to about 0.3 s at N = 999983 on a 2-vCPU VM.
-DIRECT_ORACLE_LIMIT = 10**6
+def _failing_x(profile: ModulusProfile, d: int) -> int | None:
+    """smallest_failing_x read off a profile of (b, N).
+
+    With c = b**k mod N, S is congruent mod N to C, the sum of c**j for
+    j < d.  A block count d > 1 makes k = order/d less than the order,
+    so c is not 1, nor 0 since gcd(b, N) = 1 and N > 1.  Then
+    (c - 1) * C = c**d - 1 exactly, and N divides C exactly when
+    (c - 1) * N divides c**d - 1: one modular power.
+    """
+    k = _check_block_count(d, profile.order)
+    N = profile.modulus
+    c = pow(profile.base, k, N)
+    return None if pow(c, d, (c - 1) * N) == 1 else 1
 
 
 def smallest_failing_x(b: int, N: int, d: int) -> int | None:
@@ -125,26 +136,10 @@ def smallest_failing_x(b: int, N: int, d: int) -> int | None:
     mod N for j < d.  So T == x * S (mod N) with S the sum of b**(j*k)
     for j < d, and since x is a unit mod N, N divides T exactly when N
     divides S, which is T for x = 1.  One numerator decides them all:
-    the answer is 1 or None.  The oracle walks the remainders of 1/N
-    once, adds every k-th one and tests the sum mod N.
+    the answer is 1 or None, from one modular power (_failing_x).
 
     The order comes from modulus_profile and d is checked by their
     _check_block_count, so a bad N, b or d raises what the structural
-    deciders raise; an N above DIRECT_ORACLE_LIMIT then raises
-    BoundedSearchError before the walk starts.
+    deciders raise, and only factoring N bounds the oracle.
     """
-    L = modulus_profile(b, N).order
-    k = _check_block_count(d, L)
-    if N > DIRECT_ORACLE_LIMIT:
-        raise BoundedSearchError(
-            f"the direct oracle walks the period of 1/N; N = {N} exceeds "
-            f"its limit {DIRECT_ORACLE_LIMIT}",
-            DIRECT_ORACLE_LIMIT,
-        )
-    total = 0
-    r = 1
-    for _ in range(d):
-        total += r
-        for _ in range(k):
-            r = r * b % N
-    return 1 if total % N else None
+    return _failing_x(modulus_profile(b, N), d)

@@ -2,9 +2,11 @@
 
 Two independent characterizations are implemented: the valuation test on
 the primes shared by N and b**k - 1 (the production decider) and the
-order-valuation existence test (the cross-check).  Both are validated
-against the digit-level oracle in expansion.py by the test suite; they
-never factor b**k - 1 itself.
+order-valuation existence test (the cross-check).  The test suite checks
+both against the digit-level oracle of expansion.py; none of the three
+factors b**k - 1.  Each decider of one d is modulus_profile plus a
+private form on the profile (_ppl2, _ppl3, _direct): midy-check builds
+one profile and runs every method on it.
 
 The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
@@ -180,17 +182,17 @@ def midy_check_ppl2(
     verdict carries the violating prime with both exponents.  n_factors
     may supply a factorization of N; DomainError if it is not one.
     """
-    profile = modulus_profile(b, N, n_factors=n_factors)
+    return _ppl2(modulus_profile(b, N, n_factors=n_factors), d)
+
+
+def _ppl2(profile: ModulusProfile, d: int) -> MidyVerdict:
     _check_block_count(d, profile.order)
     [culprit] = _ppl2_verdicts(profile, [d])
     if culprit is None:
         return MidyVerdict(holds=True, method="ppl2")
     p, nu_n = culprit[0], culprit[1]
-    return MidyVerdict(
-        holds=False,
-        method="ppl2",
-        certificate=PrimeCertificate(p=p, nu_n=nu_n, nu_d=arith.valuation(p, d)),
-    )
+    cert = PrimeCertificate(p=p, nu_n=nu_n, nu_d=arith.valuation(p, d))
+    return MidyVerdict(holds=False, method="ppl2", certificate=cert)
 
 
 def midy_check_ppl3(
@@ -206,31 +208,34 @@ def midy_check_ppl3(
     input.  n_factors may supply a factorization of N; DomainError if it
     is not one.
     """
-    profile = modulus_profile(b, N, n_factors=n_factors)
+    return _ppl3(modulus_profile(b, N, n_factors=n_factors), d)
+
+
+def _ppl3(profile: ModulusProfile, d: int) -> MidyVerdict:
     L = profile.order
     k = _check_block_count(d, L)
     order_primes = _order_exponents(profile).keys()
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
-            fails = nu_n > _allowance(arith.valuation(2, b + 1) - 1, k, d)
+            fails = nu_n > _allowance(arith.valuation(2, profile.base + 1) - 1, k, d)
         else:
             fails = nu_n > nu_d and not _order_escapes(ord_p, L, d, order_primes)
         if fails:
-            return MidyVerdict(
-                holds=False,
-                method="ppl3",
-                certificate=PrimeCertificate(p=p, nu_n=nu_n, nu_d=nu_d),
-            )
+            cert = PrimeCertificate(p=p, nu_n=nu_n, nu_d=nu_d)
+            return MidyVerdict(holds=False, method="ppl3", certificate=cert)
     return MidyVerdict(holds=True, method="ppl3")
 
 
 def midy_check_direct(b: int, N: int, d: int) -> MidyVerdict:
     """Digit-level oracle verdict with its smallest counterexample."""
-    x = expansion.smallest_failing_x(b, N, d)
-    if x is None:
-        return MidyVerdict(holds=True, method="direct")
-    return MidyVerdict(holds=False, method="direct", certificate=OracleCertificate(x=x))
+    return _direct(modulus_profile(b, N), d)
+
+
+def _direct(profile: ModulusProfile, d: int) -> MidyVerdict:
+    x = expansion._failing_x(profile, d)
+    cert = None if x is None else OracleCertificate(x=x)
+    return MidyVerdict(holds=x is None, method="direct", certificate=cert)
 
 
 def midy_set(

@@ -184,17 +184,42 @@ class TestMidyCheckCommand:
         code, _ = run_cli(["midy-check", "--base", "10", "13", "4"])
         assert code == 1
 
-    def test_direct_oracle_refuses_a_huge_modulus(self):
-        # order_mod on N = 10**9 + 7 takes milliseconds, but the oracle
-        # would walk the period of 1/N, about 10**9 long-division steps.
-        proc, elapsed = run_cli_process(
-            ["midy-check", "--method", "direct", "--base", "10", "1000000007", "2"]
-        )
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
+    def test_direct_oracle_answers_a_huge_modulus(self):
+        # The period of 1/N is about 10**9 digits long; the oracle takes
+        # one modular power and agrees with ppl2.
+        argv = ["midy-check", "--base", "10", "1000000007", "2"]
+        proc, elapsed = run_cli_process([*argv, "--method", "direct"])
+        assert proc.returncode == 0
+        assert proc.stdout == "direct: holds\n"
+        assert run_cli([*argv, "--method", "ppl2"]) == (0, "ppl2: holds\n")
         assert elapsed < 1
+
+    def test_all_methods_factor_n_once(self, monkeypatch):
+        # One profile for the three methods; factor(p - 1) calls not counted.
+        n = 999983
+        seen = []
+        real = arith.factor
+
+        def counting(m):
+            seen.append(m)
+            return real(m)
+
+        monkeypatch.setattr(arith, "factor", counting)
+        code, out = run_cli(["midy-check", "--method", "all", "--base", "10", str(n), "2"])
+        assert (code, len(out.splitlines())) == (0, 3)
+        assert seen.count(n) == 1
+
+    def test_all_methods_agree_on_a_22_digit_modulus(self):
+        # N is the product of two primes near 3 * 10**10 and 7 * 10**10.
+        code, out = run_cli(
+            ["midy-check", "--method", "all", "--base", "10", "2100000001060000000033", "2"]
+        )
+        assert code == 0
+        assert out == (
+            "ppl2: fails (p=70000000033, nu_p(n)=1, nu_p(d)=0)\n"
+            "ppl3: fails (p=70000000033, nu_p(n)=1, nu_p(d)=0)\n"
+            "direct: fails (x=1)\n"
+        )
 
 
 class TestMidySetCommand:

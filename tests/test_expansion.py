@@ -1,25 +1,33 @@
 """Digit-level oracle tests.
 
-smallest_failing_x decides every numerator from the remainders of 1/N
-alone; here it is pinned, on every base 2..62, against a literal
+smallest_failing_x decides every numerator by one test on N, in one
+modular power; here it is pinned, on every base 2..62, against a literal
 implementation that long-divides every x, cuts digit blocks, and checks
-divisibility of their sum with big integers.
+divisibility of their sum with big integers, and past N = 10**6 against
+the structural deciders.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midylab import expansion
+from midylab import expansion, midy
 from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.expansion import (
     blocks_and_sum,
     period_digits,
     smallest_failing_x,
 )
-from midylab.order import order_mod
+from midylab.midy import (
+    midy_check_direct,
+    midy_check_ppl2,
+    midy_check_ppl3,
+    midy_set,
+)
+from midylab.order import _order_divisors, modulus_profile, order_mod
 
 
 def units(n):
@@ -226,12 +234,30 @@ class TestMidyDirect:
     def test_holds_returns_none(self):
         assert smallest_failing_x(10, 13, 3) is None
 
-    def test_modulus_past_the_limit(self, monkeypatch):
-        monkeypatch.setattr(expansion, "DIRECT_ORACLE_LIMIT", 75)
-        assert smallest_failing_x(8, 75, 5) == 1  # N at the limit still runs
-        # The limit is checked after d.
-        with pytest.raises(PreconditionError):
-            smallest_failing_x(10, 77, 1)
-        with pytest.raises(BoundedSearchError) as info:
-            smallest_failing_x(10, 77, 2)
-        assert info.value.bound == 75
+    def test_agrees_with_the_deciders_past_a_million(self):
+        # The oracle takes any N the profile takes: on every base, for
+        # seeded N in [10**6, 10**12), its verdict on each divisor of the
+        # order is midy_set's, ppl2's and ppl3's.  Each divisor is decided
+        # on one profile, as midy-check does; the public calls, which
+        # factor N again, on the smallest and largest.
+        rng = random.Random(24)
+        verdicts = set()
+        for b in range(2, 63):
+            for _ in range(4):
+                n = rng.randrange(10**6, 10**12)
+                if math.gcd(n, b) != 1:
+                    continue
+                members = set(midy_set(b, n).members)
+                profile = modulus_profile(b, n)
+                divisors = _order_divisors(profile)
+                for d in divisors:
+                    want = d in members
+                    for decide in (midy._ppl2, midy._ppl3, midy._direct):
+                        assert decide(profile, d).holds is want, (decide, b, n, d)
+                    verdicts.add(want)
+                for d in (divisors[0], divisors[-1]):
+                    want = d in members
+                    assert (smallest_failing_x(b, n, d) is None) is want, (b, n, d)
+                    for check in (midy_check_ppl2, midy_check_ppl3, midy_check_direct):
+                        assert check(b, n, d).holds is want, (check, b, n, d)
+        assert verdicts == {True, False}
