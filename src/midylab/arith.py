@@ -25,12 +25,12 @@ the start of its round r = 1024, it tries Pollard's p - 1 method once
 Cambridge Philos. Soc. 76, 1974): stage 1 with B1 = 2000, which returns
 at once when its gcd splits the number, then the standard stage 2 up to
 B2 = 20000 (Montgomery, "Speeding the Pollard and elliptic curve methods
-of factorization", Math. Comp. 48, 1987).  _factor_lists factors a whole
-window of consecutive numbers with one sieve by every prime up to the
-square root of its top, but none of SIEVE_PRIME_LIMIT = 10**5 or more,
-so a range scan never trial-divides a number on its own, and below
-10**10 it never runs a primality test or rho.  Both give the same
-factors for every n.
+of factorization", Math. Comp. 48, 1987).  _factor_lists factors the
+numbers of a window that are coprime to a base with one sieve by every
+prime up to the square root of its top, but none of SIEVE_PRIME_LIMIT =
+10**5 or more, so a range scan never trial-divides a number on its own,
+and below 10**10 it never runs a primality test or rho.  Both give the
+same factors for every n.
 """
 
 from __future__ import annotations
@@ -435,56 +435,77 @@ def _divide_out(n: int, p: int) -> tuple[int, int]:
     return n, e
 
 
-def _factor_lists(lo: int, hi: int) -> list[list[tuple[int, int]]]:
-    """factor(n) for n in range(lo, hi) as plain lists of (p, e), with one
-    sieve for the window; callers wrap only the rows they keep.
-
-    Every prime up to the depth D = min(isqrt(hi - 1), SIEVE_PRIME_LIMIT)
-    is divided out of the multiples it has in the window, found by
-    stepping, not by trial.  The primes come from _SMALL_PRIMES when D is
-    below 1000 and from the table of _prime_gaps otherwise.  A cofactor
-    left over has no prime factor up to D, so it is prime when it is below
-    (D + 1)**2, which holds for every cofactor when D = isqrt(hi - 1);
-    only a larger one, in a window past 10**10, goes on to _factor_into's
-    primality test and rho.  A window whose top has more than
-    FACTOR_BIT_LIMIT bits raises BoundedSearchError, as factor does.
+def _factor_lists(lo: int, hi: int, base: int):
+    """(n, factor(n) as a list of (p, e)) for each n in range(lo, hi)
+    coprime to base, from one windowed sieve (Crandall and Pomerance,
+    "Prime Numbers", section 3.2); callers wrap the lists.  An even base's
+    window holds the odd n alone, and each odd prime of the base marks
+    its rows as dropped.  Every prime up to D = min(isqrt(hi - 1),
+    SIEVE_PRIME_LIMIT) is divided out of the kept rows; a cofactor below
+    (D + 1)**2 is prime, and a larger one, past 10**10, goes to
+    _factor_into as its row is taken.  The sieve, and the check that
+    raises BoundedSearchError past FACTOR_BIT_LIMIT, run at the call.
     """
-    if lo < 1:
-        raise DomainError("_factor_lists requires lo >= 1")
+    if lo < 1 or base < 1:
+        raise DomainError("_factor_lists requires lo >= 1 and base >= 1")
     _check_factor_bits(hi - 1)
-    rest = list(range(lo, hi))
+    shift = 1 - base % 2
+    step = 1 + shift
+    start = lo | shift
+    rest = list(range(start, hi, step))
     size = len(rest)
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
+    # start + i is the first multiple of an odd p for i = -start % p; with
+    # step 2 the first odd one is start + i or start + i + p, in row
+    # (i + (i & 1) * p) // 2, and each row after p more.  Each odd divisor
+    # of the base (at most 62 in a scan) zeroes the rest of its rows.
+    odd = base // (base & -base)
+    for q in range(3, odd + 1, 2):
+        if odd % q == 0:
+            i = -start % q
+            if shift:
+                i = (i + (i & 1) * q) >> 1
+            rest[i::q] = [0] * len(range(i, size, q))
     depth = min(math.isqrt(hi - 1) if hi > lo else 0, SIEVE_PRIME_LIMIT)
-    primes = (
+    primes = iter(
         _SMALL_PRIMES
         if depth < _SMALL_PRIME_LIMIT
         else itertools.accumulate(_prime_gaps())
     )
+    if shift:
+        next(primes)  # the window has no even row
     # Most primes of the table exceed the window and have at most one
     # multiple in it, so a first index past the window skips the prime.
     for p in primes:
         if p > depth:
             break
-        i = -lo % p
+        i = -start % p
+        if shift:
+            i = (i + (i & 1) * p) >> 1
         while i < size:
-            m = rest[i] // p
-            e = 1
-            while m % p == 0:
+            m = rest[i]
+            if m:
                 m //= p
-                e += 1
-            rest[i] = m
-            found[i].append((p, e))
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                rest[i] = m
+                found[i].append((p, e))
             i += p
     # Every prime in a cofactor exceeds every prime sieved out of it.
     prime_below = (depth + 1) ** 2
-    for m, factors in zip(rest, found):
-        if m == 1:
-            continue
-        if m < prime_below:
-            factors.append((m, 1))
-        else:
-            big: dict[int, int] = {}
-            _factor_into(m, big, RHO_STEP_LIMIT)
-            factors.extend(sorted(big.items()))
-    return found
+
+    def rows():
+        for n, m, factors in zip(range(start, hi, step), rest, found):
+            if m >= prime_below:
+                big: dict[int, int] = {}
+                _factor_into(m, big, RHO_STEP_LIMIT)
+                factors.extend(sorted(big.items()))
+            elif m > 1:
+                factors.append((m, 1))
+            elif m == 0:
+                continue
+            yield n, factors
+
+    return rows()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -248,9 +247,8 @@ def _scan_rows(task):
     of each as fmt renders it."""
     b, lo, hi, fmt = task
     # _scan_row is looked up at call time, so a rebinding sees every row.
-    for n, factors in zip(range(lo, hi), arith._factor_lists(lo, hi)):
-        if math.gcd(n, b) == 1:
-            yield _scan_row(b, n, Factorization(factors), fmt)
+    for n, factors in arith._factor_lists(lo, hi, b):
+        yield _scan_row(b, n, Factorization(factors), fmt)
 
 
 def _scan_text(task) -> str:

@@ -1,5 +1,6 @@
 """Integer kernel tests against brute-force oracles."""
 
+import functools
 import itertools
 import math
 import os
@@ -260,12 +261,14 @@ class TestFactorBitLimit:
     def test_sieve_window_is_checked_before_it_is_built(self, monkeypatch):
         # The scan's sieve refuses a window whose top is past the limit,
         # with factor's message, before it lists the window or sieves it.
+        # The check runs when _factor_lists is called, not at the first
+        # row taken from it.
         monkeypatch.setattr(arith, "FACTOR_BIT_LIMIT", 16)
-        window = arith._factor_lists(2**16 - 4, 2**16)
-        assert window[-1] == [(3, 1), (5, 1), (17, 1), (257, 1)]
+        window = list(arith._factor_lists(2**16 - 4, 2**16, 1))
+        assert window[-1] == (2**16 - 1, [(3, 1), (5, 1), (17, 1), (257, 1)])
         monkeypatch.setattr(arith, "_SMALL_PRIMES", None)  # sieving fails
         with pytest.raises(BoundedSearchError) as info:
-            arith._factor_lists(2**16 - 4, 2**16 + 1)
+            arith._factor_lists(2**16 - 4, 2**16 + 1, 1)
         assert info.value.bound == 16
         assert str(info.value) == (
             "a number of 17 bits is past the factoring limit of 16 bits"
@@ -333,7 +336,7 @@ class TestRhoBudget:
         # steps each and 2,934 steps in all; each row is one factor call.
         monkeypatch.setattr(arith, "RHO_STEP_LIMIT", 1022)
         lo, hi = self.N - 30, self.N + 30
-        assert factor_range(lo, hi) == [arith.factor(n) for n in range(lo, hi)]
+        assert factor_range(lo, hi) == factor_coprime(lo, hi)
 
 
 class TestPollardPm1:
@@ -414,13 +417,19 @@ class TestPollardPm1:
         assert calls == [n]
 
 
-def factor_range(lo, hi):
-    return [arith.Factorization(f) for f in arith._factor_lists(lo, hi)]
+def factor_range(lo, hi, base=1):
+    return [(n, arith.Factorization(f)) for n, f in arith._factor_lists(lo, hi, base)]
+
+
+def factor_coprime(lo, hi, base=1):
+    """What factor gives for each n in [lo, hi) coprime to base."""
+    return [(n, arith.factor(n)) for n in range(lo, hi) if math.gcd(n, base) == 1]
 
 
 class TestFactorRange:
     """One sieve per window (arith._factor_lists, which the scan reads)
-    gives what factor gives for each n."""
+    gives what factor gives for each n coprime to the base; base 1 keeps
+    every n."""
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -442,21 +451,23 @@ class TestFactorRange:
         ],
     )
     def test_matches_factor(self, lo, hi):
-        assert factor_range(lo, hi) == [arith.factor(n) for n in range(lo, hi)]
+        assert factor_range(lo, hi) == factor_coprime(lo, hi)
 
     def test_random_windows(self):
         rng = random.Random(20)
         for _ in range(20):
             lo = rng.randrange(1, 10**15)
             hi = lo + rng.randrange(1, 100)
-            got = factor_range(lo, hi)
-            assert got == [arith.factor(n) for n in range(lo, hi)], (lo, hi)
+            assert factor_range(lo, hi) == factor_coprime(lo, hi), (lo, hi)
 
     def test_empty_and_bad_windows(self):
         assert factor_range(5, 5) == []
-        assert factor_range(1, 2) == [arith.factor(1)]
+        assert factor_range(4, 5, 10) == []
+        assert factor_range(1, 2) == [(1, arith.factor(1))]
         with pytest.raises(DomainError):
             factor_range(0, 10)
+        with pytest.raises(DomainError):
+            factor_range(1, 10, 0)
 
     @pytest.mark.parametrize(
         "lo,hi", [(10**6 - 200, 10**6 + 200), (99991**2 - 300, 99991**2 + 300),
@@ -465,13 +476,88 @@ class TestFactorRange:
     def test_window_below_ten_to_the_ten_needs_no_rho(self, monkeypatch, lo, hi):
         # With hi - 1 < 10**10 the sieve reaches isqrt(hi - 1), so every
         # cofactor is prime and none reaches a primality test or rho.
-        want = [arith.factor(n) for n in range(lo, hi)]
+        want = factor_coprime(lo, hi)
 
-        def fail(n, out):
+        def fail(n, out, budget):
             raise AssertionError(f"_factor_into({n})")
 
         monkeypatch.setattr(arith, "_factor_into", fail)
         assert factor_range(lo, hi) == want
+
+
+# The windows of TestFactorRangeBases: one whose depth, isqrt(299) = 17,
+# is below the base primes 19..61, one across 10**10, where the depth
+# reaches SIEVE_PRIME_LIMIT, and one near 10**12, where cofactors go on to
+# rho.
+BASE_WINDOWS = [(1, 300), (10**10 - 150, 10**10 + 150), (10**12 - 150, 10**12 + 150)]
+
+
+@functools.cache
+def window_factors(lo, hi):
+    return factor_coprime(lo, hi)
+
+
+class TestFactorRangeBases:
+    @pytest.mark.parametrize("base", range(2, 63))
+    def test_rows_coprime_to_the_base(self, base):
+        for lo, hi in BASE_WINDOWS:
+            want = [(n, f) for n, f in window_factors(lo, hi) if math.gcd(n, base) == 1]
+            assert factor_range(lo, hi, base) == want, (lo, hi)
+
+    def test_no_dropped_row_reaches_rho(self, monkeypatch):
+        # Base 10 near 10**12: every number _factor_into gets, the top
+        # cofactor of a row or a factor rho split off, has only primes
+        # above the window's length, so it divides at most one row.  Those
+        # rows are the ones coprime to 10 whose cofactor is past the
+        # sieve's reach; of the dropped rows, more than 20 would have been.
+        lo, hi = 10**12 - 256, 10**12 + 256
+        want = factor_coprime(lo, hi, 10)
+        reach = (arith.SIEVE_PRIME_LIMIT + 1) ** 2
+        big = [n for n in range(lo, hi) if cofactor(n) >= reach]
+        seen = []
+        factor_into = arith._factor_into
+
+        def recording(n, out, budget):
+            seen.append(n)
+            return factor_into(n, out, budget)
+
+        monkeypatch.setattr(arith, "_factor_into", recording)
+        assert factor_range(lo, hi, 10) == want
+        rows = {n for n in range(lo, hi) for m in seen if n % m == 0}
+        assert len(seen) >= len(rows) > 20
+        assert rows == {n for n in big if math.gcd(n, 10) == 1}
+        assert len(big) - len(rows) > 20
+
+    def test_rows_come_as_they_are_factored(self, monkeypatch):
+        # The division pass runs at the call; each row's cofactor is
+        # factored when that row is taken.
+        lo, hi = 10**12 - 256, 10**12 + 256
+        kept = len(factor_coprime(lo, hi, 10))
+        seen = []
+        factor_into = arith._factor_into
+
+        def recording(n, out, budget):
+            seen.append(n)
+            return factor_into(n, out, budget)
+
+        monkeypatch.setattr(arith, "_factor_into", recording)
+        rows = arith._factor_lists(lo, hi, 10)
+        assert seen == []
+        taken = 0
+        for n, _ in rows:
+            taken += 1
+            if seen:
+                break
+        assert n % seen[0] == 0
+        assert taken < kept
+
+
+def cofactor(n):
+    """What is left of n once its primes below SIEVE_PRIME_LIMIT are out."""
+    for p, e in arith.factor(n):
+        if p < arith.SIEVE_PRIME_LIMIT:
+            n //= p**e
+    return n
 
 
 class TestSievePrimes:
@@ -493,7 +579,7 @@ class TestSievePrimes:
         src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
         code = (
             "import midylab.cli; from midylab import arith; "
-            "arith._factor_lists(999000, 1000000); "
+            "list(arith._factor_lists(999000, 1000000, 10)); "
             "print(arith._prime_gaps.cache_info().currsize)"
         )
         proc = subprocess.run(

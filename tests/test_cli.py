@@ -661,40 +661,29 @@ class TestScanWorkerCrash:
         # Rows of 20 ms make a chunk last 5 s.  The main process, alone in
         # its session, is killed while both workers render their first
         # chunk; each must stop within a row, not when it writes a frame.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (
-            "import sys, time\n"
-            "from midylab import cli\n"
+        assert_workers_stop_with_the_main_process(
             "scan_row = cli._scan_row\n"
             "def slow_row(*args):\n"
             "    time.sleep(0.02)\n"
             "    return scan_row(*args)\n"
-            "cli._scan_row = slow_row\n"
-            "cli.os.cpu_count = lambda: 2\n"
-            "sys.exit(cli.main(['scan', '--base', '10', '--from', '2',"
-            " '--to', '100000', '--jobs', '2']))\n"
+            "cli._scan_row = slow_row\n",
+            ["--from", "2", "--to", "100000"],
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
-                                stdout=subprocess.DEVNULL, start_new_session=True)
-        try:
-            deadline = time.monotonic() + 10
-            while len(session_processes(proc.pid)) < 3:
-                assert time.monotonic() < deadline, "the workers never started"
-                time.sleep(0.01)
-            time.sleep(0.1)
-            proc.kill()
-            proc.wait()
-            deadline = time.monotonic() + 1
-            while session_processes(proc.pid) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert session_processes(proc.pid) == []
-        finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_workers_stop_mid_sieve_when_the_main_process_is_killed(self):
+        # Each cofactor rho gets takes 20 ms more.  Past 10**14 a chunk
+        # sends 80 of its 102 rows coprime to 10 to rho, and dividing
+        # out the primes of the rest would cost 175 such calls before its
+        # first row; a worker must stop within a row of the sieve too.
+        assert_workers_stop_with_the_main_process(
+            "factor_into = arith._factor_into\n"
+            "def slow_factor_into(*args):\n"
+            "    time.sleep(0.02)\n"
+            "    return factor_into(*args)\n"
+            "arith._factor_into = slow_factor_into\n",
+            ["--from", str(10**14 + 1), "--to", str(10**14 + 100000)],
+        )
 
     def test_killed_worker_leaves_its_chunks_to_the_parent(self, forks, monkeypatch):
         # Each worker is killed at its first chunk from row 770 on (the
@@ -713,6 +702,41 @@ class TestScanWorkerCrash:
         argv = ["scan", "--base", "10", "--from", "2", "--to", "2000"]
         assert run_cli(argv + ["--jobs", "2"]) == (0, serial_scan(tuple(argv)))
         assert forks == [2]
+
+
+def assert_workers_stop_with_the_main_process(patch, window):
+    """Run a base-10 scan at --jobs 2, with patch run first, as the only
+    process of a new session; SIGKILL the main process once both workers
+    have started, and assert every process of the session is gone within 1 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, time\n"
+        "from midylab import arith, cli\n"
+        + patch
+        + "cli.os.cpu_count = lambda: 2\n"
+        f"sys.exit(cli.main(['scan', '--base', '10', *{window!r}, '--jobs', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 10
+        while len(session_processes(proc.pid)) < 3:
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+        time.sleep(0.1)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 1
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert session_processes(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def session_processes(sid):
