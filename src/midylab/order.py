@@ -198,6 +198,10 @@ def _order_divisors(profile: ModulusProfile) -> list[int]:
             )
     divisors = [1]
     for q, e in exponents.items():
+        if e == 1:
+            # Most primes of an order: one list, and no loop to set up.
+            divisors += [d * q for d in divisors]
+            continue
         block = divisors
         for _ in range(e):
             block = [d * q for d in block]
