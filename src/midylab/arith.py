@@ -455,10 +455,9 @@ def _factor_lists(lo: int, hi: int, base: int):
     rest = list(range(start, hi, step))
     size = len(rest)
     found: list[list[tuple[int, int]]] = [[] for _ in rest]
-    # start + i is the first multiple of an odd p for i = -start % p; with
-    # step 2 the first odd one is start + i or start + i + p, in row
-    # (i + (i & 1) * p) // 2, and each row after p more.  Each odd divisor
-    # of the base (at most 62 in a scan) zeroes the rest of its rows.
+    # start + i is the first multiple of odd p for i = -start % p, and the
+    # first odd one is in row (i + (i & 1) * p) // 2 of step 2.  Each odd
+    # divisor of the base (at most 62 in a scan) zeroes its rows' rest.
     odd = base // (base & -base)
     for q in range(3, odd + 1, 2):
         if odd % q == 0:
@@ -499,7 +498,7 @@ def _factor_lists(lo: int, hi: int, base: int):
     def rows():
         for n, m, factors in zip(range(start, hi, step), rest, found):
             if m >= prime_below:
-                big: dict[int, int] = {}
+                big = {}
                 _factor_into(m, big, RHO_STEP_LIMIT)
                 factors.extend(sorted(big.items()))
             elif m > 1:

@@ -199,7 +199,7 @@ def _order_divisors(profile: ModulusProfile) -> list[int]:
     divisors = [1]
     for q, e in exponents.items():
         if e == 1:
-            # Most primes of an order: one list, and no loop to set up.
+            # Most primes of an order: no loop over powers to set up.
             divisors += [d * q for d in divisors]
             continue
         block = divisors

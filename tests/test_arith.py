@@ -497,6 +497,20 @@ def window_factors(lo, hi):
     return factor_coprime(lo, hi)
 
 
+@pytest.fixture
+def factor_into_calls(monkeypatch):
+    """The first argument of every _factor_into call, rho's splits too."""
+    seen = []
+    factor_into = arith._factor_into
+
+    def recording(n, out, budget):
+        seen.append(n)
+        return factor_into(n, out, budget)
+
+    monkeypatch.setattr(arith, "_factor_into", recording)
+    return seen
+
+
 class TestFactorRangeBases:
     @pytest.mark.parametrize("base", range(2, 63))
     def test_rows_coprime_to_the_base(self, base):
@@ -504,7 +518,7 @@ class TestFactorRangeBases:
             want = [(n, f) for n, f in window_factors(lo, hi) if math.gcd(n, base) == 1]
             assert factor_range(lo, hi, base) == want, (lo, hi)
 
-    def test_no_dropped_row_reaches_rho(self, monkeypatch):
+    def test_no_dropped_row_reaches_rho(self, factor_into_calls):
         # Base 10 near 10**12: every number _factor_into gets, the top
         # cofactor of a row or a factor rho split off, has only primes
         # above the window's length, so it divides at most one row.  Those
@@ -514,33 +528,21 @@ class TestFactorRangeBases:
         want = factor_coprime(lo, hi, 10)
         reach = (arith.SIEVE_PRIME_LIMIT + 1) ** 2
         big = [n for n in range(lo, hi) if cofactor(n) >= reach]
-        seen = []
-        factor_into = arith._factor_into
-
-        def recording(n, out, budget):
-            seen.append(n)
-            return factor_into(n, out, budget)
-
-        monkeypatch.setattr(arith, "_factor_into", recording)
+        seen = factor_into_calls
+        seen.clear()  # of the factor calls above
         assert factor_range(lo, hi, 10) == want
         rows = {n for n in range(lo, hi) for m in seen if n % m == 0}
         assert len(seen) >= len(rows) > 20
         assert rows == {n for n in big if math.gcd(n, 10) == 1}
         assert len(big) - len(rows) > 20
 
-    def test_rows_come_as_they_are_factored(self, monkeypatch):
+    def test_rows_come_as_they_are_factored(self, factor_into_calls):
         # The division pass runs at the call; each row's cofactor is
         # factored when that row is taken.
         lo, hi = 10**12 - 256, 10**12 + 256
         kept = len(factor_coprime(lo, hi, 10))
-        seen = []
-        factor_into = arith._factor_into
-
-        def recording(n, out, budget):
-            seen.append(n)
-            return factor_into(n, out, budget)
-
-        monkeypatch.setattr(arith, "_factor_into", recording)
+        seen = factor_into_calls
+        seen.clear()  # of the factor calls above
         rows = arith._factor_lists(lo, hi, 10)
         assert seen == []
         taken = 0
