@@ -312,8 +312,6 @@ def _rho_brent(n: int, budget: int) -> tuple[int, int]:
     fixed sequence.  Each doubling of r is charged its 2 * r squarings of
     y before it starts, so those never pass budget.  Once the steps reach
     _PM1_GATE, _pollard_pm1 is tried once."""
-    if n % 2 == 0:
-        return 2, 0
     steps = 0
     gate = _PM1_GATE
     for c in range(1, 1000):

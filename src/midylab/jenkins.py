@@ -4,7 +4,9 @@ Given distinct primes p_1..p_t that each have the property for block
 count d, and arbitrary positive exponents h_i, the criterion decides
 whether N = prod p_i**h_i keeps it.  Two routes are provided: the
 lcm-quotient test on the block lengths k_i = |b| mod p_i / d, which
-needs no factorization of d, and the direct gcd evaluation.  The
+needs no factorization of d, and the direct gcd evaluation, whose
+k = |b| mod N / d is the lcm of the lifted cofactors.  Both trust the
+instance as built: neither takes an order mod N nor tests a prime.  The
 verdict is independent of the h_i: every prime of d divides |b| mod p_i,
 hence p_i - 1, so the lifted prime power p_i**(h_i - m_i) contributes
 nothing to any prime of d.  jenkins_decomposition gives the paper's
@@ -130,18 +132,20 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
     )
 
 
+def _lifted_cofactors(inst: JenkinsInstance) -> list[int]:
+    # z_j = p_j**max(h_j - m_j, 0) * k_j, each d * z_j the order of b mod
+    # p_j**h_j: exponents h <= m add no power of p, by the lifting rule.
+    pairs = zip(inst.prime_powers, inst.lift_valuations, inst.block_lengths)
+    return [p ** max(h - m, 0) * k for (p, h), m, k in pairs]
+
+
 def jenkins_decomposition(inst: JenkinsInstance) -> JenkinsDecomposition:
     """Split each lifted cofactor into d-power, residual d-primes and cofactor."""
     d_primes = arith.factor(inst.d).factors
     cs = []
     alphas = []
     ys = []
-    for (p, h), m, k in zip(
-        inst.prime_powers, inst.lift_valuations, inst.block_lengths
-    ):
-        # Exponents h <= m contribute no power of p, mirroring the order
-        # lifting rule, so the exponent is clamped at zero.
-        z = p ** max(h - m, 0) * k
+    for z in _lifted_cofactors(inst):
         exps = [arith.valuation(q, z) for q, _ in d_primes]
         c = min(e // r for e, (_, r) in zip(exps, d_primes))
         alpha = tuple(e - c * r for e, (_, r) in zip(exps, d_primes))
@@ -173,11 +177,10 @@ def jenkins_check(inst: JenkinsInstance) -> bool:
 
 
 def _block_gcd(inst: JenkinsInstance) -> int:
-    # gcd(b**k - 1, N) with k = order of b mod N over d.  The instance
-    # already lists the prime powers of N, so N is never factored.
+    # gcd(b**k - 1, N) with k = order of b mod N over d, the lcm of the
+    # lifted cofactors: the instance is trusted as built.
     N = inst.modulus
-    n_factors = arith.Factorization(sorted(inst.prime_powers))
-    k = order_mod(inst.base, N, n_factors=n_factors) // inst.d
+    k = math.lcm(*_lifted_cofactors(inst))
     return arith.gcd_pow_minus_one(inst.base, k, N)
 
 

@@ -19,15 +19,16 @@ midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
 each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
 into a PrimeCertificate, and the scan's JSON rows render the same fields
 without one.  The cross-check reads the same profile and the primes of L
-but decides by its own rule.  A supplied n_factors is checked where it
-enters, in modulus_profile (DomainError if it does not multiply back to
-N, is out of order or lists a non-prime), and a block count d in
-order._check_block_count, which the direct oracle shares.
+but decides the odd primes by its own rule.  A supplied n_factors is
+checked where it enters, in modulus_profile (DomainError if it does not
+multiply back to N, is out of order or lists a non-prime), and a block
+count d in order._check_block_count, which the direct oracle shares.
 
 At the even prime the naive valuation bound nu_2(N) <= nu_2(d) is too
 strict: squaring b**k gains nu_2(b**k + 1) - 1 extra factors of two, so
-even moduli get the wider allowance computed in _allowance.  Without it
-the deciders would wrongly reject, e.g., base 3 with N = 4 and d = 2,
+even moduli get the wider allowance of _even_prime_power, which both
+deciders read, so the digit-level oracle is their check at p = 2.
+Without it they would wrongly reject, e.g., base 3 with N = 4 and d = 2,
 where both one-digit block sums equal b - 1 exactly.
 """
 
@@ -102,22 +103,22 @@ class MidySet(NamedTuple):
     members: tuple[int, ...]
 
 
-def _allowance(gain: int, k: int, d: int) -> int:
-    """Largest exponent of 2 that N may carry without breaking membership.
+def _even_prime_power(b: int, t: int, L: int) -> int:
+    """The power of 2 that a member d must carry when 2**t exactly divides N.
 
     Membership demands nu_p(N) + nu_p(b**k - 1) <= nu_p(b**(kd) - 1) at
     every prime p of gcd(b**k - 1, N).  For odd p the power lifts by
-    exactly nu_p(d).  At p = 2 (b odd) the square step contributes
-    nu_2(b**k + 1) - 1 extra whenever d is even, and nothing when d is
-    odd, so the stated valuation bound nu_2(d) is exact only for even k.
-    For odd k, b**k + 1 is b + 1 times an alternating sum of k odd
-    terms, which is odd, so that extra is gain = nu_2(b + 1) - 1 for
-    every odd k; callers compute it once.
+    exactly nu_p(d).  At p = 2 (b odd) an odd d lifts nothing, and an
+    even d lifts nu_2(d) plus the square step's nu_2(b**k + 1) - 1: 0 for
+    even k, and gain = nu_2(b + 1) - 1 for odd k, since b**k + 1 is then
+    b + 1 times an alternating sum of k odd terms, which is odd.  With
+    v = nu_2(L), k is odd when nu_2(d) == v, so an even d holds when
+    nu_2(d) >= t, or when nu_2(d) == v and t <= v + gain; 2**(v + 1)
+    divides no d.
     """
-    if d % 2 != 0:
-        return 0
-    # (d & -d) is the largest power of two dividing d.
-    return (d & -d).bit_length() - 1 + (gain if k % 2 else 0)
+    v = (L & -L).bit_length() - 1
+    gain = arith.valuation(2, b + 1) - 1
+    return 2 ** (max(1, min(t, v)) if t <= v + gain else v + 1)
 
 
 def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
@@ -131,13 +132,9 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
     d divides M = L/ord_p, so a row whose primes all have M == 1 is
     decided with no loop over its divisors.  At odd p, d then breaks
     exactly when p**nu_p(N) does not divide it, since the allowance
-    there is nu_p(d).  At p = 2 (M = L) the same power test decides
-    _allowance: with t = nu_2(N) and v = nu_2(L), an even d with
-    s = nu_2(d) holds when s >= t, or when s == v (k odd) and t <= v +
-    gain.  So d holds exactly when it is even and, for t <= v + gain,
-    2**min(t, v) divides it; for a larger t no d holds, and 2**(v + 1)
-    divides none.  The primes go largest first, so the first one to
-    break d writes its culprit last.
+    there is nu_p(d).  At p = 2 (M = L) it breaks exactly when the power
+    of _even_prime_power does not divide it.  The primes go largest
+    first, so the first one to break d writes its culprit last.
     """
     L = profile.order
     culprits = [None] * len(divisors)
@@ -146,12 +143,7 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
         if ord_p == L:
             continue
         M = L // ord_p
-        if p == 2:
-            v = (L & -L).bit_length() - 1
-            gain = arith.valuation(2, profile.base + 1) - 1
-            pt = 2 ** max(1, min(nu_n, v) if nu_n <= v + gain else v + 1)
-        else:
-            pt = p**nu_n
+        pt = _even_prime_power(profile.base, nu_n, L) if p == 2 else p**nu_n
         for i, d in enumerate(divisors):
             if M % d == 0 and d % pt:
                 culprits[i] = entry
@@ -177,10 +169,11 @@ def midy_check_ppl2(
     Holds iff every prime p of N with b**k == 1 (mod p), that is with
     |b| mod p dividing k, has its exponent in N within the membership
     allowance: the exponent of p in d, plus at p = 2 the extra 2-adic
-    room of the square step (see _allowance).  The orders come from one
-    ModulusProfile of N, so no modular power is taken per prime.  A false
-    verdict carries the violating prime with both exponents.  n_factors
-    may supply a factorization of N; DomainError if it is not one.
+    room of the square step (_even_prime_power).  The orders come from
+    one ModulusProfile of N, so no modular power is taken per prime.  A
+    false verdict carries the violating prime with both exponents.
+    n_factors may supply a factorization of N; DomainError if it is not
+    one.
     """
     return _ppl2(modulus_profile(b, N, n_factors=n_factors), d)
 
@@ -204,21 +197,20 @@ def midy_check_ppl3(
     prime q of the order with nu_q(|b| mod p) > nu_q(order) - nu_q(d),
     i.e. the order of b at p does not divide k.  The even prime has no
     such escape (|b| mod 2 is 1) and is held to the same 2-adic allowance
-    as midy_check_ppl2, with which this decider agrees on every valid
-    input.  n_factors may supply a factorization of N; DomainError if it
-    is not one.
+    as midy_check_ppl2, read from the same _even_prime_power.  n_factors
+    may supply a factorization of N; DomainError if it is not one.
     """
     return _ppl3(modulus_profile(b, N, n_factors=n_factors), d)
 
 
 def _ppl3(profile: ModulusProfile, d: int) -> MidyVerdict:
     L = profile.order
-    k = _check_block_count(d, L)
+    _check_block_count(d, L)
     order_primes = _order_exponents(profile).keys()
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
-            fails = nu_n > _allowance(arith.valuation(2, profile.base + 1) - 1, k, d)
+            fails = d % _even_prime_power(profile.base, nu_n, L) != 0
         else:
             fails = nu_n > nu_d and not _order_escapes(ord_p, L, d, order_primes)
         if fails:

@@ -152,16 +152,11 @@ def _order_exponents(profile: ModulusProfile) -> dict[int, int]:
     """{q: e} with the profile's order equal to the product of the q**e.
 
     The order mod p comes factored from _order_mod_prime (a cache hit for
-    the primes of a profile just built), p enters the order mod p**t only
-    by lifting, since the order mod p divides p - 1, and the lcm takes
-    each prime's largest exponent."""
+    the odd primes of a profile just built), p enters the order mod p**t
+    only by lifting, since the order mod p divides p - 1 (at p = 2 it is
+    1), and the lcm takes each prime's largest exponent."""
     exponents: dict[int, int] = {}
     for p, _, opt, op in profile.per_prime:
-        if p == 2:
-            # The first entry, if any: the order mod 2**t is a power of 2.
-            if opt > 1:
-                exponents[2] = opt.bit_length() - 1
-            continue
         flat = _order_mod_prime(profile.base % p, p)
         for i in range(1, len(flat), 2):
             q = flat[i]

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import arith
 from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES, _TRIAL_PRODUCT
 from .errors import BoundedSearchError, PreconditionError
-from .midy import _ppl2_verdicts, midy_check_ppl2
+from .midy import _ppl2_verdicts
 from .order import ModulusProfile, lift_valuation, modulus_profile
 
 __all__ = [
@@ -115,14 +115,18 @@ def _checked_profile(b: int, N: int, q: int, v: int) -> ModulusProfile:
 
 def prime_power_structure(b: int, N: int, q: int, v: int) -> PrimePowerStructure:
     """Collect the shape data needed by the structural membership test."""
-    profile = _checked_profile(b, N, q, v)
+    return _structure(_checked_profile(b, N, q, v), q, v)
+
+
+def _structure(profile: ModulusProfile, q: int, v: int) -> PrimePowerStructure:
+    b = profile.base
     n = profile.factors.valuation(q)
     rest = [(p, h, ord_p) for p, h, _, ord_p in profile.per_prime if p != q]
     return PrimePowerStructure(
         base=b,
         q=q,
         v=v,
-        modulus=N,
+        modulus=profile.modulus,
         q_exponent=n,
         others=tuple((p, h) for p, h, _ in rest),
         m=lift_valuation(b, q) if n > 0 else None,
@@ -138,12 +142,12 @@ def prime_power_midy_structure(b: int, N: int, q: int, v: int) -> bool:
     q-valuation is positive, and the largest of those valuations (or the
     excess q-exponent over the lift valuation, when positive) may beat the
     smallest by less than v.  Pure powers of q carry no other primes and
-    are decided by the valuation decider directly.
+    are decided by the valuation decider on the same profile.
     """
-    s = prime_power_structure(b, N, q, v)
+    profile = _checked_profile(b, N, q, v)
+    s = _structure(profile, q, v)
     if not s.others:
-        pure = arith.Factorization(((q, s.q_exponent),))
-        return midy_check_ppl2(b, N, q**v, n_factors=pure).holds
+        return _ppl2_verdicts(profile, [q**v]) == [None]
     if s.q_exponent > v:
         return False
     if any(a == 0 for a in s.order_valuations):

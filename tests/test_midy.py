@@ -11,7 +11,7 @@ from midylab.errors import (
     MidylabError,
     PreconditionError,
 )
-from midylab.expansion import smallest_failing_x
+from midylab.expansion import _failing_x, smallest_failing_x
 from midylab.midy import (
     OracleCertificate,
     PrimeCertificate,
@@ -261,22 +261,23 @@ class TestEvenPrime:
         # L = 3 is odd, so no block count carries the 2 of N = 38.
         assert midy_set(7, 38) == (7, 38, 3, ())
 
-    def test_matches_ppl3_on_every_base(self):
+    def test_matches_the_oracle_on_every_base(self):
         # Only even N reach the even prime, and only odd bases are coprime
-        # to them; criterion 10 covers odd N.
-        mismatches = []
+        # to them; criterion 10 covers odd N.  ppl2 and ppl3 read the same
+        # 2-adic rule, so both answer to the digit-level oracle here.
+        moduli, mismatches = 0, []
         for b in range(3, 63, 2):
             for n in range(2, 1500, 2):
                 if math.gcd(b, n) != 1:
                     continue
-                s = midy_set(b, n)
-                want = tuple(
-                    d for d in range(2, s.order + 1)
-                    if s.order % d == 0 and midy_check_ppl3(b, n, d).holds
-                )
-                if s.members != want:
+                moduli += 1
+                profile = order.modulus_profile(b, n)
+                divisors = order._order_divisors(profile)
+                want = tuple(d for d in divisors if _failing_x(profile, d) is None)
+                ppl3 = tuple(d for d in divisors if midy._ppl3(profile, d).holds)
+                if midy_set(b, n).members != want or ppl3 != want:
                     mismatches.append((b, n))
-        assert mismatches == []
+        assert (moduli, mismatches) == (18220, [])
 
 
 class TestAgainstOracle:

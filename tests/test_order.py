@@ -20,7 +20,11 @@ from midylab.order import (
     order_mod,
     order_mod_naive,
 )
-from midylab.progression import prime_power_structure, prime_progression
+from midylab.progression import (
+    prime_power_midy_structure,
+    prime_power_structure,
+    prime_progression,
+)
 
 
 def naive_order(b: int, n: int) -> int:
@@ -264,6 +268,40 @@ class TestOneFactorization:
         inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
         jenkins_check_gcd(inst)
         assert inst.modulus not in factored
+
+
+class TestOneProfile:
+    """The product criterion and the prime-power test derive no order data
+    that they already hold."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        # The arguments of every profile built and every primality test,
+        # under each name a midylab module binds to those functions.
+        calls = {"modulus_profile": [], "is_prime": []}
+        reals = {"modulus_profile": order.modulus_profile, "is_prime": arith.is_prime}
+        for module in [m for name, m in sys.modules.items() if name.startswith("midylab")]:
+            for attr, value in list(vars(module).items()):
+                for key, real in reals.items():
+                    if value is real:
+
+                        def counting(*args, _real=real, _seen=calls[key], **kwargs):
+                            _seen.append(args)
+                            return _real(*args, **kwargs)
+
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_jenkins_gcd_route_builds_no_profile(self, work):
+        inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
+        del work["modulus_profile"][:], work["is_prime"][:]
+        assert jenkins_check_gcd(inst) is True
+        assert work == {"modulus_profile": [], "is_prime": []}
+
+    def test_prime_power_test_builds_one_profile(self, work):
+        assert prime_power_midy_structure(10, 27, 3, 1) is False
+        assert work["modulus_profile"] == [(10, 27)]
+        assert work["is_prime"].count((3,)) <= 2
 
 
 def divisors_above_one(n: int) -> list[int]:
