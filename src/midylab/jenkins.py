@@ -22,8 +22,8 @@ import math
 from typing import NamedTuple
 
 from . import arith
-from .errors import BoundedSearchError, PreconditionError
-from .order import lift_valuation, order_mod
+from .errors import BoundedSearchError, DomainError, PreconditionError
+from .order import _lift_exponent, _order_mod_prime
 
 __all__ = [
     "JenkinsDecomposition",
@@ -99,7 +99,7 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
         raise PreconditionError("at least one (prime, exponent) pair required")
     seen = set()
     for p, h in pairs:
-        # order_mod(b, p) factors p - 1, which has as many bits as p, so
+        # The order mod p factors p - 1, which has as many bits as p, so
         # a p past the factoring limit is refused before is_prime, which
         # takes seconds on thousands of bits.
         arith._check_factor_bits(p)
@@ -111,17 +111,22 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
             raise PreconditionError(f"prime {p} repeated")
         seen.add(p)
     # A prime has the property for every d > 1 dividing its order, so
-    # that divisibility is the whole check.
+    # that divisibility is the whole check.  Each p is tested once, above:
+    # the orders and the lifts are read for primes already known.
     orders = []
     for p, _ in pairs:
-        op = order_mod(b, p)
+        if b % p == 0:
+            raise PreconditionError(f"gcd({b}, {p}) != 1; order undefined")
+        op = _order_mod_prime(b % p, p)[1]
         if op % d != 0:
             raise PreconditionError(
                 f"prime {p} does not have the property for d = {d} in base {b}"
             )
         orders.append(op)
     block_lengths = tuple(op // d for op in orders)
-    lifts = tuple(lift_valuation(b, p) for p, _ in pairs)
+    if b < 2:
+        raise DomainError("lift valuation undefined for base < 2")
+    lifts = tuple(_lift_exponent(b, p, op) for (p, _), op in zip(pairs, orders))
     return JenkinsInstance(
         base=b,
         d=d,

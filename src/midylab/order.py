@@ -28,7 +28,6 @@ order, for the deciders and the direct oracle alike.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import arith
@@ -61,17 +60,30 @@ class ModulusProfile(NamedTuple):
     per_prime: tuple[tuple[int, int, int, int], ...]
 
 
-@lru_cache(maxsize=1 << 16)
+# Orders mod primes, one entry per prime p: (b mod p, order, q1, e1, q2,
+# e2, ...).  Keyed by the int p alone, an entry holds no key tuple and no
+# link node, as one of an lru_cache on (b, p) would.  Once the table holds
+# _PRIME_ORDER_LIMIT primes, the next new prime clears it.
+_PRIME_ORDERS: dict[int, tuple[int, ...]] = {}
+_PRIME_ORDER_LIMIT = 1 << 16
+
+
 def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
-    """(order, q1, e1, q2, e2, ...): the order of b mod p, then its
-    factorization, q ascending.
+    """(b, order, q1, e1, q2, e2, ...): b, the order of b mod p, then the
+    order's factorization, q ascending.
 
     b already reduced mod p, p prime, b != 0.  Starts from the group
     exponent p - 1 and strips prime factors while the power stays 1; the
-    exponents left over are the order's factorization.  The cache keeps
-    one flat tuple per prime, well under half the memory of a tuple of
-    (q, e) pairs.
+    exponents left over are the order's factorization.  The tuple is the
+    entry of _PRIME_ORDERS for p, read again while p is asked with the
+    same b; another b recomputes it and takes the entry over.
     """
+    flat = _PRIME_ORDERS.get(p)
+    if flat is not None:
+        if flat[0] == b:
+            return flat
+    elif len(_PRIME_ORDERS) >= _PRIME_ORDER_LIMIT:
+        _PRIME_ORDERS.clear()
     order = p - 1
     kept = []
     for q, e in arith.factor(p - 1):
@@ -80,10 +92,10 @@ def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
             e -= 1
         if e:
             kept += (q, e)
-    return (order, *kept)
+    flat = _PRIME_ORDERS[p] = (b, order, *kept)
+    return flat
 
 
-@lru_cache(maxsize=1 << 16)
 def lift_valuation(b: int, p: int) -> int:
     """m = valuation_p(b**|b|_p - 1) for prime p, p not dividing b, b >= 2.
 
@@ -96,7 +108,7 @@ def lift_valuation(b: int, p: int) -> int:
         raise DomainError(f"{p} is not prime")
     if b % p == 0:
         raise PreconditionError(f"base {b} is divisible by {p}")
-    return _lift_exponent(b, p, _order_mod_prime(b % p, p)[0])
+    return _lift_exponent(b, p, _order_mod_prime(b % p, p)[1])
 
 
 def _lift_exponent(b: int, p: int, op: int) -> int:
@@ -129,7 +141,7 @@ def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
     """
     if p == 2:
         return _order_mod_two_power(b, t), 1
-    op = _order_mod_prime(b % p, p)[0]
+    op = _order_mod_prime(b % p, p)[1]
     if t == 1 or pow(b, op, p**t) == 1:
         return op, op
     # t > m, so the order mod p**t picks up p**(t - m).
@@ -151,14 +163,15 @@ def _profile(b: int, N: int, factors: arith.Factorization) -> ModulusProfile:
 def _order_exponents(profile: ModulusProfile) -> dict[int, int]:
     """{q: e} with the profile's order equal to the product of the q**e.
 
-    The order mod p comes factored from _order_mod_prime (a cache hit for
-    the odd primes of a profile just built), p enters the order mod p**t
-    only by lifting, since the order mod p divides p - 1 (at p = 2 it is
-    1), and the lcm takes each prime's largest exponent."""
+    The order mod p comes factored from _order_mod_prime (the entry of
+    _PRIME_ORDERS that building the profile left for each odd prime),
+    p enters the order mod p**t only by lifting, since the order mod p
+    divides p - 1 (at p = 2 it is 1), and the lcm takes each prime's
+    largest exponent."""
     exponents: dict[int, int] = {}
     for p, _, opt, op in profile.per_prime:
         flat = _order_mod_prime(profile.base % p, p)
-        for i in range(1, len(flat), 2):
+        for i in range(2, len(flat), 2):
             q = flat[i]
             if flat[i + 1] > exponents.get(q, 0):
                 exponents[q] = flat[i + 1]

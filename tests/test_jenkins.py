@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from midylab import arith, jenkins
-from midylab.errors import BoundedSearchError, PreconditionError
+from midylab.errors import BoundedSearchError, DomainError, PreconditionError
 from midylab.jenkins import (
     jenkins_check,
     jenkins_check_gcd,
@@ -41,8 +41,32 @@ class TestInstance:
         with pytest.raises(PreconditionError):
             jenkins_instance(10, 1, [(7, 1)])
 
+    def test_each_prime_is_tested_once(self, monkeypatch):
+        # The order and the lift are read for a prime already tested:
+        # neither factors p nor tests it again past 10**6.
+        tested = []
+        real = arith.is_prime
+
+        def counting(n):
+            tested.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        inst = jenkins_instance(10, 166667, [(1000003, 1)])
+        assert tested == [1000003]
+        assert inst.orders == (order_mod(10, 1000003),)
+
+    def test_errors_of_the_order_and_the_lift(self):
+        with pytest.raises(PreconditionError) as info:
+            jenkins_instance(10, 2, [(7, 1), (5, 1)])
+        assert str(info.value) == "gcd(10, 5) != 1; order undefined"
+        # |-1| mod 3 = 2 passes the order check; the lift needs b >= 2
+        with pytest.raises(DomainError) as info:
+            jenkins_instance(-1, 2, [(3, 1)])
+        assert str(info.value) == "lift valuation undefined for base < 2"
+
     def test_prime_past_the_factoring_limit(self, monkeypatch):
-        # order_mod(b, p) factors p - 1, so such a p is refused before
+        # The order mod p factors p - 1, so such a p is refused before
         # is_prime looks at it.
         monkeypatch.setattr(arith, "FACTOR_BIT_LIMIT", 4)
         assert jenkins_instance(10, 2, [(11, 1)]).orders == (2,)

@@ -191,10 +191,34 @@ class TestMemoDeterminism:
     def test_results_identical_cold_and_warm(self):
         pairs = [(b, p) for b in (2, 10, 23) for p in (3, 7, 13, 101)]
         warm = [_order_mod_prime(b % p, p) for b, p in pairs]
-        _order_mod_prime.cache_clear()
-        lift_valuation.cache_clear()
+        order._PRIME_ORDERS.clear()
         cold = [_order_mod_prime(b % p, p) for b, p in pairs]
         assert warm == cold
+
+    def test_one_prime_under_two_residues_in_turn(self):
+        # The table keeps one residue per prime: each ask under the other
+        # residue recomputes the order and takes the entry over.
+        p = 101
+        order._PRIME_ORDERS.clear()
+        for b in (2, 10, 2, 10):
+            flat = _order_mod_prime(b, p)
+            assert flat[:2] == (b, naive_order(b, p))
+            assert order._PRIME_ORDERS[p] is flat
+        assert len(order._PRIME_ORDERS) == 1
+
+    def test_a_full_table_is_cleared_and_the_scan_keeps_its_bytes(self, monkeypatch):
+        argv = ["scan", "--base", "10", "--from", "2", "--to", "3000"]
+        order._PRIME_ORDERS.clear()
+        want = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", want)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(order, "_PRIME_ORDER_LIMIT", 8)
+        order._PRIME_ORDERS.clear()
+        got = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", got)
+        assert cli.main(argv) == 0
+        assert got.getvalue() == want.getvalue()
+        assert 0 < len(order._PRIME_ORDERS) <= 8
 
 
 class TestNaiveFallback:
@@ -234,15 +258,15 @@ class TestOneFactorization:
 
     def test_progression_never_factors_a_candidate(self, factored):
         # nor takes an order mod one: one modular power decides each
-        _order_mod_prime.cache_clear()
+        order._PRIME_ORDERS.clear()
         trace = prime_progression(10, 3, 1, 5)
         candidates = {
             j * m + 1 for m, p in trace.steps for j in range(1, (p - 1) // m + 1)
         }
         assert trace.primes == (7, 19, 109, 487, 2917)
         assert not candidates & set(factored)
-        info = _order_mod_prime.cache_info()
-        assert info.hits + info.misses == 0
+        # every order asked for would have left its entry
+        assert not order._PRIME_ORDERS
 
     def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
         # The chunk sieve factors each row's n, and L's factorization is
@@ -257,7 +281,7 @@ class TestOneFactorization:
 
         monkeypatch.setattr(arith, "is_prime", counting)
         monkeypatch.setattr(sys, "stdout", io.StringIO())
-        _order_mod_prime.cache_clear()
+        order._PRIME_ORDERS.clear()
         assert cli.main(["scan", "--base", "10", "--from", "2", "--to", "20000"]) == 0
         monkeypatch.undo()
         primes = [p for p in range(3, 20001) if p != 5 and real(p)]
