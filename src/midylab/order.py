@@ -63,7 +63,10 @@ class ModulusProfile(NamedTuple):
 # Orders mod primes, one entry per prime p: (b mod p, order, q1, e1, q2,
 # e2, ...).  Keyed by the int p alone, an entry holds no key tuple and no
 # link node, as one of an lru_cache on (b, p) would.  Once the table holds
-# _PRIME_ORDER_LIMIT primes, the next new prime clears it.
+# _PRIME_ORDER_LIMIT primes, the next new prime clears it.  A scan knows
+# its range: after each row it pops the row's largest prime once no later
+# row is divisible by it (cli._scan_rows).  Library callers have no range
+# and rely on the limit.
 _PRIME_ORDERS: dict[int, tuple[int, ...]] = {}
 _PRIME_ORDER_LIMIT = 1 << 16
 

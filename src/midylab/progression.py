@@ -25,7 +25,7 @@ from . import arith
 from .arith import _SMALL_PRIME_LIMIT, _SMALL_PRIMES, _TRIAL_PRIMES, _TRIAL_PRODUCT
 from .errors import BoundedSearchError, PreconditionError
 from .midy import _ppl2_verdicts
-from .order import ModulusProfile, lift_valuation, modulus_profile
+from .order import ModulusProfile, _lift_exponent, modulus_profile
 
 __all__ = [
     "DEFAULT_SEARCH_BOUND",
@@ -122,6 +122,8 @@ def _structure(profile: ModulusProfile, q: int, v: int) -> PrimePowerStructure:
     b = profile.base
     n = profile.factors.valuation(q)
     rest = [(p, h, ord_p) for p, h, _, ord_p in profile.per_prime if p != q]
+    # From the profile's order mod q: lift_valuation would test q again.
+    ord_q = next((ord_p for p, _, _, ord_p in profile.per_prime if p == q), None)
     return PrimePowerStructure(
         base=b,
         q=q,
@@ -129,7 +131,7 @@ def _structure(profile: ModulusProfile, q: int, v: int) -> PrimePowerStructure:
         modulus=profile.modulus,
         q_exponent=n,
         others=tuple((p, h) for p, h, _ in rest),
-        m=lift_valuation(b, q) if n > 0 else None,
+        m=None if ord_q is None else _lift_exponent(b, q, ord_q),
         order_valuations=tuple(arith.valuation(q, ord_p) for _, _, ord_p in rest),
     )
 

@@ -1001,7 +1001,7 @@ class TestScanRowJson:
         # nu_p(d) = 0 and > 0; every kind must occur.
         kinds = set()
         certificates = 0
-        for line in cli._scan_text((3, 1, 2001, "json")).splitlines():
+        for line in cli._scan_text((3, 1, 2001, 2001, "json")).splitlines():
             row = json.loads(line)
             n = row["n"]
             for item in row["excluded"]:
@@ -1033,7 +1033,7 @@ class TestScanRowJson:
         reference = reference_json_row if fmt == "json" else reference_csv_row
         for b in range(2, 63):
             want = "".join(reference(b, n) for n in range(1, 201) if math.gcd(b, n) == 1)
-            assert cli._scan_text((b, 1, 201, fmt)) == want, b
+            assert cli._scan_text((b, 1, 201, 201, fmt)) == want, b
 
 
 class TestScanGolden:

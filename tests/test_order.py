@@ -1,5 +1,6 @@
 """Multiplicative order tests: lifting rule vs naive successive powers."""
 
+import hashlib
 import io
 import math
 import sys
@@ -221,6 +222,31 @@ class TestMemoDeterminism:
         assert 0 < len(order._PRIME_ORDERS) <= 8
 
 
+class TestScanOrderTable:
+    """A scan drops the order at each prime that no later row is divisible
+    by."""
+
+    @pytest.mark.parametrize("b,m", [(10, 3), (7, 2), (6, 5)])
+    def test_orders_no_later_row_reads_are_dropped(self, b, m, monkeypatch):
+        # m is the least integer above 1 coprime to b, so m * p is the
+        # first row past p that p divides: no p with m * p > 3000 is left.
+        # Row 1 has no prime, and its line comes first.
+        want = "n,base,order,midy_set\n" + "".join(
+            f"{n},{b},{r.order},{';'.join(map(str, r.members))}\n"
+            for n in range(1, 3001)
+            if math.gcd(b, n) == 1
+            for r in [midy_set(b, n)]
+        )
+        assert want.startswith(f"n,base,order,midy_set\n1,{b},1,\n")
+        order._PRIME_ORDERS.clear()
+        got = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", got)
+        assert cli.main(["scan", "--base", str(b), "--from", "1", "--to", "3000"]) == 0
+        assert got.getvalue() == want
+        left = sorted(order._PRIME_ORDERS)
+        assert left and left[-1] * m <= 3000
+
+
 class TestNaiveFallback:
     def test_agrees_with_fast_path(self):
         for n in range(2, 200):
@@ -271,7 +297,10 @@ class TestOneFactorization:
     def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
         # The chunk sieve factors each row's n, and L's factorization is
         # read off the profile: factor only sees p - 1, once per prime on
-        # a cold order cache, and nothing tests a prime again.
+        # a cold order cache, and nothing tests a prime again.  The 2,260
+        # primes would fill a table of 1,000 and clear it twice; the scan
+        # drops each order once no later row reads it, so none is
+        # computed again.
         tested = []
         real = arith.is_prime
 
@@ -280,13 +309,19 @@ class TestOneFactorization:
             return real(n)
 
         monkeypatch.setattr(arith, "is_prime", counting)
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(order, "_PRIME_ORDER_LIMIT", 1000)
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
         order._PRIME_ORDERS.clear()
         assert cli.main(["scan", "--base", "10", "--from", "2", "--to", "20000"]) == 0
         monkeypatch.undo()
         primes = [p for p in range(3, 20001) if p != 5 and real(p)]
+        assert len(primes) == 2260
         assert sorted(factored) == [p - 1 for p in primes]
         assert tested == []
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+            "4cf9c15d680c80e09d91a0de82333c54e158bfd5a798ad1aa0b066d9912b2733"
+        )
 
     def test_jenkins_gcd_route_reads_the_instance(self, factored):
         inst = jenkins_instance(10, 3, [(7, 2), (13, 1)])
@@ -325,7 +360,13 @@ class TestOneProfile:
     def test_prime_power_test_builds_one_profile(self, work):
         assert prime_power_midy_structure(10, 27, 3, 1) is False
         assert work["modulus_profile"] == [(10, 27)]
-        assert work["is_prime"].count((3,)) <= 2
+        assert work["is_prime"].count((3,)) == 1
+
+    def test_prime_power_structure_tests_q_once(self, work):
+        # The lift at q starts from the profile's order mod q.
+        s = prime_power_structure(10, 111, 3, 1)
+        assert (s.q_exponent, s.m) == (1, 2)
+        assert work["is_prime"].count((3,)) == 1
 
 
 def divisors_above_one(n: int) -> list[int]:
