@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from . import arith, expansion, jenkins, midy, order, progression
+from . import arith, expansion, jenkins, midy, progression
 from .arith import Factorization
 from .errors import BoundedSearchError, MidylabError
 from .midy import GcdCertificate, OracleCertificate, PrimeCertificate
@@ -208,10 +208,10 @@ def _cmd_primes(args, out) -> int:
 SCAN_CHUNK_ROWS = 256
 
 
-def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
+def _scan_row(b: int, n: int, factors: Factorization, fmt: str, orders: dict) -> str:
     """The line of n, coprime to b, rendered as fmt; factors is n's
     factorization as the chunk sieve made it, so it is not tested again."""
-    profile = _profile(b, n, factors)
+    profile = _profile(b, n, factors, orders)
     divisors = _order_divisors(profile)
     culprits = midy._ppl2_verdicts(profile, divisors)
     if fmt != "json":
@@ -245,20 +245,20 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str) -> str:
 
 def _scan_rows(task):
     """Decide the rows of n in [lo, hi) coprime to b, and yield the line
-    of each as fmt renders it.  A row drops the order at its largest prime
-    p when p divides no later row below end: the next would be m * p after
+    of each as fmt renders it.  A row drops its largest prime p from orders
+    when p divides no later row below end: the next would be m * p after
     p, m the least integer above 1 coprime to b, and n + p or later after n."""
-    b, lo, hi, end, fmt = task
+    b, lo, hi, end, fmt, orders = task
     m = 2
     while math.gcd(m, b) > 1:
         m += 1
     # _scan_row is looked up at call time, so a rebinding sees every row.
     for n, factors in arith._factor_lists(lo, hi, b):
-        yield _scan_row(b, n, Factorization(factors), fmt)
+        yield _scan_row(b, n, Factorization(factors), fmt, orders)
         if factors:
             p = factors[-1][0]
             if (m * p if n == p else n + p) >= end:
-                order._PRIME_ORDERS.pop(p, None)
+                orders.pop(p, None)
 
 
 def _scan_text(task) -> str:
@@ -303,8 +303,9 @@ def _copy_frame(pipe, write) -> tuple[bool, int]:
 
 
 def _chunks(b: int, starts: range, hi: int, fmt: str):
-    """The _scan_rows task of each chunk that starts at a row in starts."""
-    return ((b, a, min(a + SCAN_CHUNK_ROWS, hi), hi, fmt) for a in starts)
+    """The _scan_rows tasks of the chunks at starts, sharing one order table."""
+    orders = {}
+    return ((b, a, min(a + SCAN_CHUNK_ROWS, hi), hi, fmt, orders) for a in starts)
 
 
 def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) -> None:

@@ -92,6 +92,8 @@ class JenkinsDecomposition(NamedTuple):
 
 def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
     """Build and validate an instance; every prime must have the property for d."""
+    if b < 2:
+        raise DomainError("lift valuation undefined for base < 2")
     if d <= 1:
         raise PreconditionError("block count d must be > 1")
     pairs = tuple((int(p), int(h)) for p, h in prime_powers)
@@ -117,15 +119,13 @@ def jenkins_instance(b: int, d: int, prime_powers) -> JenkinsInstance:
     for p, _ in pairs:
         if b % p == 0:
             raise PreconditionError(f"gcd({b}, {p}) != 1; order undefined")
-        op = _order_mod_prime(b % p, p)[1]
+        op = _order_mod_prime(b % p, p)[0]
         if op % d != 0:
             raise PreconditionError(
                 f"prime {p} does not have the property for d = {d} in base {b}"
             )
         orders.append(op)
     block_lengths = tuple(op // d for op in orders)
-    if b < 2:
-        raise DomainError("lift valuation undefined for base < 2")
     lifts = tuple(_lift_exponent(b, p, op) for (p, _), op in zip(pairs, orders))
     return JenkinsInstance(
         base=b,

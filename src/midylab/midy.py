@@ -12,13 +12,13 @@ The production decider reads one ModulusProfile per N: the factorization
 and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
-The divisors of L come from order._order_divisors and its primes from
+The divisors of L come from order._order_divisors and its exponents from
 order._order_exponents, so L is never factored either, and a decider of
 one d builds no divisor list.  _ppl2_verdicts, the one decider behind
 midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
 each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
 into a PrimeCertificate, and the scan's JSON rows render the same fields
-without one.  The cross-check reads the same profile and the primes of L
+without one.  The cross-check reads the same profile and the exponents of L
 but decides the odd primes by its own rule.  A supplied n_factors is
 checked where it enters, in modulus_profile (DomainError if it does not
 multiply back to N, is out of order or lists a non-prime), and a block
@@ -150,14 +150,15 @@ def _ppl2_verdicts(profile: ModulusProfile, divisors: list[int]) -> list:
     return culprits
 
 
-def _order_escapes(ord_p: int, L: int, d: int, primes) -> bool:
-    """True when ord_p does not divide k = L/d, primes being those of L.
+def _order_escapes(ord_p: int, d: int, exponents: dict[int, int]) -> bool:
+    """True when ord_p does not divide k = L/d, exponents being {q: nu_q(L)}
+    over the primes of the order L.
 
-    That is, some q in primes has nu_q(ord_p) > nu_q(L) - nu_q(d).
+    That is, some q has nu_q(ord_p) > nu_q(L) - nu_q(d).
     """
     return any(
-        arith.valuation(q, ord_p) > arith.valuation(q, L) - arith.valuation(q, d)
-        for q in primes
+        arith.valuation(q, ord_p) > e - arith.valuation(q, d)
+        for q, e in exponents.items()
     )
 
 
@@ -206,13 +207,13 @@ def midy_check_ppl3(
 def _ppl3(profile: ModulusProfile, d: int) -> MidyVerdict:
     L = profile.order
     _check_block_count(d, L)
-    order_primes = _order_exponents(profile).keys()
+    exponents = _order_exponents(profile)
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
             fails = d % _even_prime_power(profile.base, nu_n, L) != 0
         else:
-            fails = nu_n > nu_d and not _order_escapes(ord_p, L, d, order_primes)
+            fails = nu_n > nu_d and not _order_escapes(ord_p, d, exponents)
         if fails:
             cert = PrimeCertificate(p=p, nu_n=nu_n, nu_d=nu_d)
             return MidyVerdict(holds=False, method="ppl3", certificate=cert)
@@ -252,8 +253,7 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
     d = 2 returns (False, True, False)).
     """
     profile = modulus_profile(b, N)
-    L = profile.order
-    k = _check_block_count(d, L)
+    k = _check_block_count(d, profile.order)
     for p, nu_n, _, _ in profile.per_prime:
         if nu_n <= arith.valuation(p, d):
             raise HypothesisNotApplicableError(
@@ -262,9 +262,9 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
     [culprit] = _ppl2_verdicts(profile, [d])
-    order_primes = _order_exponents(profile).keys()
+    exponents = _order_exponents(profile)
     stmt_exists = all(
-        _order_escapes(ord_p, L, d, order_primes)
+        _order_escapes(ord_p, d, exponents)
         for _, _, _, ord_p in profile.per_prime
     )
     return stmt_gcd, culprit is None, stmt_exists

@@ -20,7 +20,10 @@ A factorization is checked once, where it enters: building a
 Factorization checks nothing, and modulus_profile tests the shape, the
 product and the primes of a caller's n_factors and trusts the ones
 arith.factor found.  _profile, the builder behind it, trusts its factors and
-is also what the CLI scan calls with the factors of its chunk sieve.
+is also what the CLI scan calls with the factors of its chunk sieve.  The
+module keeps no state between calls: _profile adds the orders mod primes
+it computes to a table its caller passes, which modulus_profile makes
+anew for each modulus and a scan keeps across its rows.
 _check_block_count is the one check of a block count d against the
 order, for the deciders and the direct oracle alike.
 """
@@ -47,9 +50,11 @@ class ModulusProfile(NamedTuple):
     """Order data of base modulo modulus, computed once per modulus.
 
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
-    factors, in ascending order of p; order is their lcm.  Like every
-    record of the package it is a named tuple (Factorization is a tuple
-    of its pairs): every decider and scan row builds one, and named
+    factors, in ascending order of p; order is their lcm.  order_factors
+    holds, for each per_prime entry, the order mod p and its
+    factorization as _order_mod_prime gives them ((1,) at p = 2).  Like
+    every record of the package it is a named tuple (Factorization is a
+    tuple of its pairs): every decider and scan row builds one, and named
     tuples are cheap to build and to import.
     """
 
@@ -58,35 +63,17 @@ class ModulusProfile(NamedTuple):
     factors: arith.Factorization
     order: int
     per_prime: tuple[tuple[int, int, int, int], ...]
-
-
-# Orders mod primes, one entry per prime p: (b mod p, order, q1, e1, q2,
-# e2, ...).  Keyed by the int p alone, an entry holds no key tuple and no
-# link node, as one of an lru_cache on (b, p) would.  Once the table holds
-# _PRIME_ORDER_LIMIT primes, the next new prime clears it.  A scan knows
-# its range: after each row it pops the row's largest prime once no later
-# row is divisible by it (cli._scan_rows).  Library callers have no range
-# and rely on the limit.
-_PRIME_ORDERS: dict[int, tuple[int, ...]] = {}
-_PRIME_ORDER_LIMIT = 1 << 16
+    order_factors: tuple[tuple[int, ...], ...]
 
 
 def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
-    """(b, order, q1, e1, q2, e2, ...): b, the order of b mod p, then the
-    order's factorization, q ascending.
+    """(order, q1, e1, q2, e2, ...): the order of b mod p, then its
+    factorization, q ascending.
 
     b already reduced mod p, p prime, b != 0.  Starts from the group
     exponent p - 1 and strips prime factors while the power stays 1; the
-    exponents left over are the order's factorization.  The tuple is the
-    entry of _PRIME_ORDERS for p, read again while p is asked with the
-    same b; another b recomputes it and takes the entry over.
+    exponents left over are the order's factorization.
     """
-    flat = _PRIME_ORDERS.get(p)
-    if flat is not None:
-        if flat[0] == b:
-            return flat
-    elif len(_PRIME_ORDERS) >= _PRIME_ORDER_LIMIT:
-        _PRIME_ORDERS.clear()
     order = p - 1
     kept = []
     for q, e in arith.factor(p - 1):
@@ -95,8 +82,7 @@ def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
             e -= 1
         if e:
             kept += (q, e)
-    flat = _PRIME_ORDERS[p] = (b, order, *kept)
-    return flat
+    return (order, *kept)
 
 
 def lift_valuation(b: int, p: int) -> int:
@@ -111,7 +97,7 @@ def lift_valuation(b: int, p: int) -> int:
         raise DomainError(f"{p} is not prime")
     if b % p == 0:
         raise PreconditionError(f"base {b} is divisible by {p}")
-    return _lift_exponent(b, p, _order_mod_prime(b % p, p)[1])
+    return _lift_exponent(b, p, _order_mod_prime(b % p, p)[0])
 
 
 def _lift_exponent(b: int, p: int, op: int) -> int:
@@ -135,46 +121,46 @@ def _order_mod_two_power(b: int, t: int) -> int:
     raise PreconditionError("base must be odd for orders modulo powers of 2")
 
 
-def _orders_at(b: int, p: int, t: int) -> tuple[int, int]:
-    """(order mod p**t, order mod p) for prime p not dividing b.
-
-    Odd p uses the lifting rule from the order modulo p; p = 2 is routed
-    to the direct doubling scan.  Unchecked: modulus_profile checks its
-    arguments and reads these as per_prime.
-    """
-    if p == 2:
-        return _order_mod_two_power(b, t), 1
-    op = _order_mod_prime(b % p, p)[1]
-    if t == 1 or pow(b, op, p**t) == 1:
-        return op, op
-    # t > m, so the order mod p**t picks up p**(t - m).
-    return p ** (t - _lift_exponent(b, p, op)) * op, op
-
-
-def _profile(b: int, N: int, factors: arith.Factorization) -> ModulusProfile:
+def _profile(
+    b: int, N: int, factors: arith.Factorization, orders: dict[int, tuple[int, ...]]
+) -> ModulusProfile:
     """modulus_profile without its checks: factors must be N's factorization
-    into primes, and gcd(b, N) must be 1."""
+    into primes, and gcd(b, N) must be 1.
+
+    orders maps odd primes p to _order_mod_prime(b % p, p) for this b; the
+    entries it lacks are computed and added.  Odd p lifts the order mod p
+    to p**t; p = 2 is routed to the direct doubling scan.
+    """
     per_prime = []
+    order_factors = []
     order = 1
     for p, t in factors:
-        opt, op = _orders_at(b, p, t)
-        per_prime.append((p, t, opt, op))
+        if p == 2:
+            flat = (1,)
+            opt = _order_mod_two_power(b, t)
+        else:
+            flat = orders.get(p)
+            if flat is None:
+                flat = orders[p] = _order_mod_prime(b % p, p)
+            opt = flat[0]
+            if t > 1 and pow(b, opt, p**t) != 1:
+                # t > m, so the order mod p**t picks up p**(t - m).
+                opt *= p ** (t - _lift_exponent(b, p, opt))
+        per_prime.append((p, t, opt, flat[0]))
+        order_factors.append(flat)
         order = math.lcm(order, opt)
-    return ModulusProfile(b, N, factors, order, tuple(per_prime))
+    return ModulusProfile(b, N, factors, order, tuple(per_prime), tuple(order_factors))
 
 
 def _order_exponents(profile: ModulusProfile) -> dict[int, int]:
     """{q: e} with the profile's order equal to the product of the q**e.
 
-    The order mod p comes factored from _order_mod_prime (the entry of
-    _PRIME_ORDERS that building the profile left for each odd prime),
-    p enters the order mod p**t only by lifting, since the order mod p
-    divides p - 1 (at p = 2 it is 1), and the lcm takes each prime's
-    largest exponent."""
+    The order mod p comes factored in order_factors, p enters the order
+    mod p**t only by lifting, since the order mod p divides p - 1 (at
+    p = 2 it is 1), and the lcm takes each prime's largest exponent."""
     exponents: dict[int, int] = {}
-    for p, _, opt, op in profile.per_prime:
-        flat = _order_mod_prime(profile.base % p, p)
-        for i in range(2, len(flat), 2):
+    for (p, _, opt, op), flat in zip(profile.per_prime, profile.order_factors):
+        for i in range(1, len(flat), 2):
             q = flat[i]
             if flat[i + 1] > exponents.get(q, 0):
                 exponents[q] = flat[i + 1]
@@ -227,7 +213,7 @@ def modulus_profile(
     """Factorization of N and the orders of b at N, its primes and prime powers.
 
     One prime-power order per prime power of N; the order mod p is the
-    cached value that computation starts from.  n_factors may supply a
+    value that computation starts from.  n_factors may supply a
     factorization of N; DomainError if it does not multiply back to N, if
     its primes are not strictly increasing, if an exponent is below 1 or
     if it lists a number that is not prime.  A factorization made here by
@@ -238,7 +224,7 @@ def modulus_profile(
     if math.gcd(b, N) != 1:
         raise PreconditionError(f"gcd({b}, {N}) != 1; order undefined")
     if n_factors is None:
-        return _profile(b, N, arith.factor(N))
+        return _profile(b, N, arith.factor(N), {})
     if n_factors.value != N:
         raise DomainError(f"n_factors multiply to {n_factors.value}, not {N}")
     prev = 1
@@ -250,7 +236,7 @@ def modulus_profile(
         if not arith.is_prime(p):
             raise DomainError(f"{p} is not prime")
         prev = p
-    return _profile(b, N, n_factors)
+    return _profile(b, N, n_factors, {})
 
 
 def _check_block_count(d: int, L: int) -> int:

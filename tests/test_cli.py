@@ -604,10 +604,10 @@ class TestScanBudget:
         # layer the parent writes the frames to.
         scan_row = cli._scan_row
 
-        def failing_row(b, n, factors, fmt):
+        def failing_row(b, n, factors, fmt, orders):
             if n == 1001:
                 raise error
-            return scan_row(b, n, factors, fmt)
+            return scan_row(b, n, factors, fmt, orders)
 
         monkeypatch.setattr(cli, "_scan_row", failing_row)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -987,7 +987,7 @@ class TestScanRowJson:
         """Compare the rows of ns in base b; returns the scan's lines."""
         rows = []
         for n in ns:
-            rows.append(cli._scan_row(b, n, arith.factor(n), "json"))
+            rows.append(cli._scan_row(b, n, arith.factor(n), "json", {}))
             assert rows[-1] == reference_json_row(b, n), (b, n)
         return rows
 
@@ -1001,7 +1001,7 @@ class TestScanRowJson:
         # nu_p(d) = 0 and > 0; every kind must occur.
         kinds = set()
         certificates = 0
-        for line in cli._scan_text((3, 1, 2001, 2001, "json")).splitlines():
+        for line in cli._scan_text((3, 1, 2001, 2001, "json", {})).splitlines():
             row = json.loads(line)
             n = row["n"]
             for item in row["excluded"]:
@@ -1033,7 +1033,7 @@ class TestScanRowJson:
         reference = reference_json_row if fmt == "json" else reference_csv_row
         for b in range(2, 63):
             want = "".join(reference(b, n) for n in range(1, 201) if math.gcd(b, n) == 1)
-            assert cli._scan_text((b, 1, 201, 201, fmt)) == want, b
+            assert cli._scan_text((b, 1, 201, 201, fmt, {})) == want, b
 
 
 class TestScanGolden:

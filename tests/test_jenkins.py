@@ -60,9 +60,20 @@ class TestInstance:
         with pytest.raises(PreconditionError) as info:
             jenkins_instance(10, 2, [(7, 1), (5, 1)])
         assert str(info.value) == "gcd(10, 5) != 1; order undefined"
-        # |-1| mod 3 = 2 passes the order check; the lift needs b >= 2
+        # |-1| mod 3 = 2 would pass the order check; the lift needs b >= 2
         with pytest.raises(DomainError) as info:
             jenkins_instance(-1, 2, [(3, 1)])
+        assert str(info.value) == "lift valuation undefined for base < 2"
+
+    def test_the_base_is_checked_before_the_primes(self, monkeypatch):
+        # |1| mod 3 = 1, which d = 2 does not divide: a later check would
+        # blame the prime.
+        def no_test(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(arith, "is_prime", no_test)
+        with pytest.raises(DomainError) as info:
+            jenkins_instance(1, 2, [(3, 1)])
         assert str(info.value) == "lift valuation undefined for base < 2"
 
     def test_prime_past_the_factoring_limit(self, monkeypatch):

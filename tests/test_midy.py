@@ -143,7 +143,7 @@ class TestPpl3:
                     for p, nu_n in arith.factor(n):
                         if nu_n <= arith.valuation(p, d):
                             continue
-                        op = _order_mod_prime(b % p, p)[1]
+                        op = _order_mod_prime(b % p, p)[0]
                         order_qs = {
                             q
                             for q in arith.factor(L).primes()

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -16,6 +18,7 @@ from midylab.order import (
     _order_divisors,
     _order_exponents,
     _order_mod_prime,
+    _profile,
     lift_valuation,
     modulus_profile,
     order_mod,
@@ -160,6 +163,7 @@ class TestModulusProfile:
             factors=arith.factor(75),
             order=20,
             per_prime=((3, 1, 2, 2), (5, 2, 20, 4)),
+            order_factors=((2, 2, 1), (4, 2, 2)),
         )
 
     def test_against_naive_orders(self):
@@ -190,44 +194,70 @@ class TestModulusProfile:
 
 class TestMemoDeterminism:
     def test_results_identical_cold_and_warm(self):
-        pairs = [(b, p) for b in (2, 10, 23) for p in (3, 7, 13, 101)]
-        warm = [_order_mod_prime(b % p, p) for b, p in pairs]
-        order._PRIME_ORDERS.clear()
-        cold = [_order_mod_prime(b % p, p) for b, p in pairs]
-        assert warm == cold
+        # A profile built on a table that already holds the orders of its
+        # primes equals one built cold, and leaves the table as it was.
+        warm = {}
+        for b in (2, 10, 23):
+            warm.clear()
+            for n in (3 * 7 * 13 * 101, 7**2 * 13, 101**2, 2**5 * 13):
+                if math.gcd(b, n) != 1:
+                    continue
+                cold = modulus_profile(b, n)
+                _profile(b, n, arith.factor(n), warm)
+                table = dict(warm)
+                assert _profile(b, n, arith.factor(n), warm) == cold
+                assert warm == table
+        assert 2 not in warm
 
-    def test_one_prime_under_two_residues_in_turn(self):
-        # The table keeps one residue per prime: each ask under the other
-        # residue recomputes the order and takes the entry over.
+    def test_order_mod_prime_keeps_no_state(self):
+        # The same residue asked twice, around another, gives equal tuples.
         p = 101
-        order._PRIME_ORDERS.clear()
         for b in (2, 10, 2, 10):
             flat = _order_mod_prime(b, p)
-            assert flat[:2] == (b, naive_order(b, p))
-            assert order._PRIME_ORDERS[p] is flat
-        assert len(order._PRIME_ORDERS) == 1
+            assert flat[0] == naive_order(b, p)
+            assert math.prod(q**e for q, e in zip(flat[1::2], flat[2::2])) == flat[0]
+        # and the module holds no table that a call could fill
+        assert not [
+            name
+            for name, value in vars(order).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
 
-    def test_a_full_table_is_cleared_and_the_scan_keeps_its_bytes(self, monkeypatch):
-        argv = ["scan", "--base", "10", "--from", "2", "--to", "3000"]
-        order._PRIME_ORDERS.clear()
-        want = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", want)
-        assert cli.main(argv) == 0
-        monkeypatch.setattr(order, "_PRIME_ORDER_LIMIT", 8)
-        order._PRIME_ORDERS.clear()
-        got = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", got)
-        assert cli.main(argv) == 0
-        assert got.getvalue() == want.getvalue()
-        assert 0 < len(order._PRIME_ORDERS) <= 8
+    def test_even_moduli_never_factor_one(self, monkeypatch):
+        # p = 2 takes its order from the doubling scan, so only 96 and
+        # p - 1 = 2 of its odd prime 3 are factored.
+        seen = []
+        real = arith.factor
+
+        def counting(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "factor", counting)
+        midy_set(7, 96)
+        assert seen == [96, 2]
 
 
 class TestScanOrderTable:
-    """A scan drops the order at each prime that no later row is divisible
-    by."""
+    """A scan keeps one table of orders mod primes per process, and drops
+    the order at each prime that no later row is divisible by."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        # The order table of every scan task cli._chunks makes.
+        seen = []
+        chunks = cli._chunks
+
+        def recording(*args):
+            for task in chunks(*args):
+                seen.append(task[-1])
+                yield task
+
+        monkeypatch.setattr(cli, "_chunks", recording)
+        return seen
 
     @pytest.mark.parametrize("b,m", [(10, 3), (7, 2), (6, 5)])
-    def test_orders_no_later_row_reads_are_dropped(self, b, m, monkeypatch):
+    def test_orders_no_later_row_reads_are_dropped(self, b, m, tables, monkeypatch):
         # m is the least integer above 1 coprime to b, so m * p is the
         # first row past p that p divides: no p with m * p > 3000 is left.
         # Row 1 has no prime, and its line comes first.
@@ -238,13 +268,31 @@ class TestScanOrderTable:
             for r in [midy_set(b, n)]
         )
         assert want.startswith(f"n,base,order,midy_set\n1,{b},1,\n")
-        order._PRIME_ORDERS.clear()
         got = io.StringIO()
         monkeypatch.setattr(sys, "stdout", got)
         assert cli.main(["scan", "--base", str(b), "--from", "1", "--to", "3000"]) == 0
         assert got.getvalue() == want
-        left = sorted(order._PRIME_ORDERS)
+        # 12 chunks, one table.
+        assert len(tables) == 12
+        assert all(table is tables[0] for table in tables)
+        left = sorted(tables[0])
         assert left and left[-1] * m <= 3000
+
+    def test_scans_in_one_process_print_the_bytes_of_fresh_ones(self, monkeypatch):
+        # Base 10, then 7, then 10 again: no order of one scan reaches
+        # the next.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for b in ("10", "7", "10"):
+            argv = ["scan", "--base", b, "--from", "1", "--to", "3000"]
+            got = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", got)
+            assert cli.main(argv) == 0
+            fresh = subprocess.run(
+                [sys.executable, "-m", "midylab.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            )
+            assert got.getvalue() == fresh.stdout, b
 
 
 class TestNaiveFallback:
@@ -282,25 +330,29 @@ class TestOneFactorization:
         assert factored.count(49) == 1
         assert 3 not in factored
 
-    def test_progression_never_factors_a_candidate(self, factored):
+    def test_progression_never_factors_a_candidate(self, factored, monkeypatch):
         # nor takes an order mod one: one modular power decides each
-        order._PRIME_ORDERS.clear()
+        asked = []
+        real = order._order_mod_prime
+
+        def recording(*args):
+            asked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(order, "_order_mod_prime", recording)
         trace = prime_progression(10, 3, 1, 5)
         candidates = {
             j * m + 1 for m, p in trace.steps for j in range(1, (p - 1) // m + 1)
         }
         assert trace.primes == (7, 19, 109, 487, 2917)
         assert not candidates & set(factored)
-        # every order asked for would have left its entry
-        assert not order._PRIME_ORDERS
+        assert not asked
 
     def test_scan_factors_only_p_minus_one(self, factored, monkeypatch):
         # The chunk sieve factors each row's n, and L's factorization is
-        # read off the profile: factor only sees p - 1, once per prime on
-        # a cold order cache, and nothing tests a prime again.  The 2,260
-        # primes would fill a table of 1,000 and clear it twice; the scan
-        # drops each order once no later row reads it, so none is
-        # computed again.
+        # read off the profile: factor only sees p - 1, once per prime, as
+        # the scan keeps each order until no later row reads it, and
+        # nothing tests a prime again.
         tested = []
         real = arith.is_prime
 
@@ -309,10 +361,8 @@ class TestOneFactorization:
             return real(n)
 
         monkeypatch.setattr(arith, "is_prime", counting)
-        monkeypatch.setattr(order, "_PRIME_ORDER_LIMIT", 1000)
         out = io.StringIO()
         monkeypatch.setattr(sys, "stdout", out)
-        order._PRIME_ORDERS.clear()
         assert cli.main(["scan", "--base", "10", "--from", "2", "--to", "20000"]) == 0
         monkeypatch.undo()
         primes = [p for p in range(3, 20001) if p != 5 and real(p)]
