@@ -243,17 +243,23 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str, orders: dict) ->
     )
 
 
+# Most orders mod primes a scan's table holds before a row: a full table
+# is cleared.  A scan to end keeps about pi(end / 3) of them at its middle
+# row in base 10, so the bound is reached past end = 2.5 * 10**6.
+_SCAN_ORDER_LIMIT = 1 << 16
+
+
 def _scan_rows(task):
     """Decide the rows of n in [lo, hi) coprime to b, and yield the line
     of each as fmt renders it.  A row drops its largest prime p from orders
     when p divides no later row below end: the next would be m * p after
     p, m the least integer above 1 coprime to b, and n + p or later after n."""
     b, lo, hi, end, fmt, orders = task
-    m = 2
-    while math.gcd(m, b) > 1:
-        m += 1
+    m = next(m for m in range(2, b + 2) if math.gcd(m, b) == 1)
     # _scan_row is looked up at call time, so a rebinding sees every row.
     for n, factors in arith._factor_lists(lo, hi, b):
+        if len(orders) >= _SCAN_ORDER_LIMIT:
+            orders.clear()
         yield _scan_row(b, n, Factorization(factors), fmt, orders)
         if factors:
             p = factors[-1][0]

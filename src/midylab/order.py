@@ -23,7 +23,7 @@ arith.factor found.  _profile, the builder behind it, trusts its factors and
 is also what the CLI scan calls with the factors of its chunk sieve.  The
 module keeps no state between calls: _profile adds the orders mod primes
 it computes to a table its caller passes, which modulus_profile makes
-anew for each modulus and a scan keeps across its rows.
+anew for each modulus and a scan keeps across its rows, up to a fixed size.
 _check_block_count is the one check of a block count d against the
 order, for the deciders and the direct oracle alike.
 """
@@ -51,8 +51,8 @@ class ModulusProfile(NamedTuple):
 
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
     factors, in ascending order of p; order is their lcm.  order_factors
-    holds, for each per_prime entry, the order mod p and its
-    factorization as _order_mod_prime gives them ((1,) at p = 2).  Like
+    holds, for each per_prime entry, the factorization of the order mod p
+    as (q1, e1, q2, e2, ...), q ascending (() at p = 2).  Like
     every record of the package it is a named tuple (Factorization is a
     tuple of its pairs): every decider and scan row builds one, and named
     tuples are cheap to build and to import.
@@ -136,18 +136,18 @@ def _profile(
     order = 1
     for p, t in factors:
         if p == 2:
-            flat = (1,)
-            opt = _order_mod_two_power(b, t)
+            op, opt = 1, _order_mod_two_power(b, t)
+            order_factors.append(())
         else:
             flat = orders.get(p)
             if flat is None:
                 flat = orders[p] = _order_mod_prime(b % p, p)
-            opt = flat[0]
+            op = opt = flat[0]
+            order_factors.append(flat[1:])
             if t > 1 and pow(b, opt, p**t) != 1:
                 # t > m, so the order mod p**t picks up p**(t - m).
                 opt *= p ** (t - _lift_exponent(b, p, opt))
-        per_prime.append((p, t, opt, flat[0]))
-        order_factors.append(flat)
+        per_prime.append((p, t, opt, op))
         order = math.lcm(order, opt)
     return ModulusProfile(b, N, factors, order, tuple(per_prime), tuple(order_factors))
 
@@ -160,7 +160,7 @@ def _order_exponents(profile: ModulusProfile) -> dict[int, int]:
     p = 2 it is 1), and the lcm takes each prime's largest exponent."""
     exponents: dict[int, int] = {}
     for (p, _, opt, op), flat in zip(profile.per_prime, profile.order_factors):
-        for i in range(1, len(flat), 2):
+        for i in range(0, len(flat), 2):
             q = flat[i]
             if flat[i + 1] > exponents.get(q, 0):
                 exponents[q] = flat[i + 1]

@@ -3,8 +3,6 @@
 import hashlib
 import io
 import math
-import os
-import subprocess
 import sys
 
 import pytest
@@ -163,7 +161,7 @@ class TestModulusProfile:
             factors=arith.factor(75),
             order=20,
             per_prime=((3, 1, 2, 2), (5, 2, 20, 4)),
-            order_factors=((2, 2, 1), (4, 2, 2)),
+            order_factors=((2, 1), (2, 2)),
         )
 
     def test_against_naive_orders(self):
@@ -192,6 +190,16 @@ class TestModulusProfile:
             modulus_profile(10, 0)
 
 
+def _scan_csv(b: int, end: int) -> str:
+    """The CSV of scan --base b --from 1 --to end, one midy_set per row."""
+    return "n,base,order,midy_set\n" + "".join(
+        f"{n},{b},{r.order},{';'.join(map(str, r.members))}\n"
+        for n in range(1, end + 1)
+        if math.gcd(b, n) == 1
+        for r in [midy_set(b, n)]
+    )
+
+
 class TestMemoDeterminism:
     def test_results_identical_cold_and_warm(self):
         # A profile built on a table that already holds the orders of its
@@ -210,18 +218,52 @@ class TestMemoDeterminism:
         assert 2 not in warm
 
     def test_order_mod_prime_keeps_no_state(self):
-        # The same residue asked twice, around another, gives equal tuples.
+        # The same residue asked again, after another, gives the same tuple:
+        # its order and the order's factorization.
         p = 101
+        first = {b: _order_mod_prime(b, p) for b in (2, 10)}
         for b in (2, 10, 2, 10):
             flat = _order_mod_prime(b, p)
+            assert flat == first[b]
             assert flat[0] == naive_order(b, p)
             assert math.prod(q**e for q, e in zip(flat[1::2], flat[2::2])) == flat[0]
-        # and the module holds no table that a call could fill
-        assert not [
-            name
-            for name, value in vars(order).items()
-            if not name.startswith("__") and isinstance(value, (dict, list, set))
-        ]
+        assert not hasattr(order, "_PRIME_ORDERS")
+
+    def test_a_full_table_is_cleared_and_the_scan_keeps_its_bytes(self, monkeypatch):
+        # A scan's order table is cleared many times over at a limit of 64,
+        # and the scans print their pinned bytes at jobs 1 and 2 (the
+        # forked workers inherit the limit).
+        monkeypatch.setattr(cli, "_SCAN_ORDER_LIMIT", 64)
+        starts = []
+        real = cli._scan_row
+
+        def recording(b, n, factors, fmt, orders):
+            starts.append(len(orders))
+            return real(b, n, factors, fmt, orders)
+
+        for argv, want in (
+            (
+                ["--base", "10", "--from", "2", "--to", "50000"],
+                "3ad7921d8e73e020d264cd49e02cc4d81a6d67b794560eddc75cc916db535b1c",
+            ),
+            (
+                ["--base", "7", "--from", "1000000000001", "--to", "1000000001000",
+                 "--format", "json"],
+                "2f495c8b6addc2c03494156d7f4f8d8d17100e00a48d918b14614e23843baeaa",
+            ),
+        ):
+            for jobs in ("1", "2"):
+                monkeypatch.setattr(cli, "_scan_row", recording)
+                starts.clear()
+                got = io.StringIO()
+                monkeypatch.setattr(sys, "stdout", got)
+                assert cli.main(["scan", *argv, "--jobs", jobs]) == 0
+                assert hashlib.sha256(got.getvalue().encode()).hexdigest() == want
+                if jobs == "1":
+                    # Each row starts below the limit, and a row pops one
+                    # order at most, so larger drops are clears.
+                    assert starts and max(starts) < 64
+                    assert sum(a > c + 1 for a, c in zip(starts, starts[1:])) > 10
 
     def test_even_moduli_never_factor_one(self, monkeypatch):
         # p = 2 takes its order from the doubling scan, so only 96 and
@@ -261,12 +303,7 @@ class TestScanOrderTable:
         # m is the least integer above 1 coprime to b, so m * p is the
         # first row past p that p divides: no p with m * p > 3000 is left.
         # Row 1 has no prime, and its line comes first.
-        want = "n,base,order,midy_set\n" + "".join(
-            f"{n},{b},{r.order},{';'.join(map(str, r.members))}\n"
-            for n in range(1, 3001)
-            if math.gcd(b, n) == 1
-            for r in [midy_set(b, n)]
-        )
+        want = _scan_csv(b, 3000)
         assert want.startswith(f"n,base,order,midy_set\n1,{b},1,\n")
         got = io.StringIO()
         monkeypatch.setattr(sys, "stdout", got)
@@ -280,19 +317,12 @@ class TestScanOrderTable:
 
     def test_scans_in_one_process_print_the_bytes_of_fresh_ones(self, monkeypatch):
         # Base 10, then 7, then 10 again: no order of one scan reaches
-        # the next.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        for b in ("10", "7", "10"):
-            argv = ["scan", "--base", b, "--from", "1", "--to", "3000"]
+        # the next, so each prints the rows midy_set gives one N at a time.
+        for b in (10, 7, 10):
             got = io.StringIO()
             monkeypatch.setattr(sys, "stdout", got)
-            assert cli.main(argv) == 0
-            fresh = subprocess.run(
-                [sys.executable, "-m", "midylab.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=60, check=True,
-            )
-            assert got.getvalue() == fresh.stdout, b
+            assert cli.main(["scan", "--base", str(b), "--from", "1", "--to", "3000"]) == 0
+            assert got.getvalue() == _scan_csv(b, 3000), b
 
 
 class TestNaiveFallback:
