@@ -243,9 +243,9 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str, orders: dict) ->
     )
 
 
-# Most orders mod primes a scan's table holds before a row: a full table
-# is cleared.  A scan to end keeps about pi(end / 3) of them at its middle
-# row in base 10, so the bound is reached past end = 2.5 * 10**6.
+# Most orders mod primes a scan's table holds before a row; a full table
+# is cleared.  The pop rule alone leaves about pi(end / 3) at a base-10
+# scan's middle row: 28,664 at most to 10**6, 78,497 to 3 * 10**6.
 _SCAN_ORDER_LIMIT = 1 << 16
 
 
