@@ -14,10 +14,14 @@ candidate P = j * q**s + 1 of a step is decided by whether q**s divides
 the order of b mod P.  That is one modular power, which also serves as a
 Fermat test and, mostly, as a Pocklington proof with the base as witness
 (_pocklington_step); is_prime decides the rest, and nothing is factored.
+From P = 1000 on, a wheel mod 210 never generates the j whose P is
+divisible by 2, 3, 5 or 7, and two gcds drop the rest of the candidates
+with a prime factor below 1000 before the modular power.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -45,24 +49,28 @@ DEFAULT_SEARCH_BOUND = 10**7
 
 # Most primes prime_progression generates.  Each step's modulus exceeds
 # the last prime, so for small q**v the primes gain about 7 bits a step
-# and the time grows about as count**5: 100 primes take 1.7 s in base 10
-# with q = 2, v = 1 and 3.0 s with q = 13, v = 1, 160 primes 16 s, on a
-# 2-vCPU VM (Python 3.11).  A step gains at least the bits of q**v, so
-# a large q**v is slower per step (q = 2, v = 20: 60 primes in 11.5 s).
+# and the time grows about as count**5: 100 primes take 1.3 s in base 10
+# with q = 2, v = 1 and 2.0 s with q = 13, v = 1, 160 primes 13.5 s, on a
+# 2-vCPU VM (Python 3.11, CPU time).  A step gains at least the bits of
+# q**v, so a large q**v is slower per step (q = 2, v = 20: 60 primes in
+# 7.3 s).
 PROGRESSION_COUNT_LIMIT = 100
 
 # Most count * (q**v).bit_length() that prime_progression accepts.  Each
 # step's modulus grows by at least q**v, so the primes gain at least the
-# bits of q**v a step: q = 2, v = 20 took 11.5 s for 60 primes.  400
-# keeps 100 primes for every q**v <= 13 (3.9 s for q = 13, v = 1, the
-# slowest), and a large q**v within it is quick (q = 2, v = 20: 19
-# primes of up to 386 bits in 0.06 s).
+# bits of q**v a step: q = 2, v = 20 took 7.3 s for 60 primes.  400
+# keeps 100 primes for every q**v <= 13 (2.0 s for q = 13, v = 1 in
+# base 10), and a large q**v within it is quick (q = 2, v = 20: 19
+# primes of up to 386 bits in 0.03 s).
 PROGRESSION_BIT_LIMIT = 400
 
 # The primes below 1000 past is_prime's own gcd with the primes up to 37:
 # one gcd with their product rules out a candidate P >= 1000 with such a
 # factor.
 _PRIMES_41_TO_997 = math.prod(p for p in _SMALL_PRIMES if p > _TRIAL_PRIMES[-1])
+
+# 2 * 3 * 5 * 7: the wheel that generates a step's j.
+_WHEEL = 210
 
 
 class PrimePowerStructure(NamedTuple):
@@ -247,22 +255,49 @@ def _pocklington_step(b: int, q: int, modulus: int, P: int) -> bool | None:
     return None
 
 
+@functools.cache
+def _wheel(residue: int) -> tuple[int, ...]:
+    """The r in [0, 210) with r * residue + 1 prime to 210: one turn of the
+    wheel for a modulus congruent to residue mod 210 (48 entries when the
+    modulus is prime to 210).  At most 210 residues, each built once."""
+    return tuple(r for r in range(_WHEEL) if math.gcd(r * residue + 1, _WHEEL) == 1)
+
+
+def _step_js(modulus: int, last: int):
+    """j = 1..last in order, less each j with P = j * modulus + 1 >= 1000
+    that shares a factor with 210 (such a P is composite)."""
+    head = min(last, (_SMALL_PRIME_LIMIT - 2) // modulus)
+    yield from range(1, head + 1)
+    wheel = _wheel(modulus % _WHEEL)
+    for turn in range(head - head % _WHEEL, last + 1, _WHEEL):
+        for r in wheel:
+            j = turn + r
+            if j > last:
+                return
+            if j > head:
+                yield j
+
+
 def _next_prime_in_progression(
     b: int, q: int, modulus: int, last: int, bound: int
 ) -> int:
     """Smallest prime P == 1 (mod modulus) whose property set has modulus.
 
-    Scans P = j * modulus + 1 for j = 1..last; modulus is a power of the
-    prime q.  A prime has the property for every d > 1 dividing its
-    order, so only the order matters.  P must be coprime to b, and past
-    the small primes also free of every prime below 1000 (two gcds).
-    Each survivor costs one modular power in _pocklington_step, which
-    drops it when the order of b cannot carry modulus and otherwise
-    proves it composite, or prime with the property; is_prime decides
-    only what the base leaves open.  Nothing is factored.
+    Scans P = j * modulus + 1 for j = 1..last in order; modulus is a
+    power of the prime q.  A prime has the property for every d > 1
+    dividing its order, so only the order matters.  P must be coprime to
+    b, and from 1000 on also free of every prime below 1000: _step_js
+    skips the j whose P shares a factor with 210, and two gcds test the
+    rest, one with b times the primes up to 37 and one with the primes
+    41..997.  Below 1000, P may itself be 3, 5 or 7, so only gcd(P, b) is
+    taken there.  Each survivor costs one modular power in
+    _pocklington_step, which drops it when the order of b cannot carry
+    modulus and otherwise proves it composite, or prime with the
+    property; is_prime decides only what the base leaves open.  Nothing
+    is factored.  last bounds j itself, not the j generated.
     """
     coprime_to = b * _TRIAL_PRODUCT
-    for j in range(1, last + 1):
+    for j in _step_js(modulus, last):
         P = j * modulus + 1
         if P < _SMALL_PRIME_LIMIT:
             if math.gcd(P, b) != 1:

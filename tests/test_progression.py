@@ -2,6 +2,7 @@
 
 import math
 
+import numtheory as nt
 import pytest
 
 from midylab import arith, progression
@@ -375,25 +376,41 @@ class TestPocklingtonStep:
                         modulus *= q
 
     def test_matches_reference_scan(self):
-        def reference(b, modulus, last):
+        # The reference is perfbench's textbook is_prime and order, which
+        # share no code with midylab.
+        def first_hit(b, modulus, last):
             for j in range(1, last + 1):
                 P = j * modulus + 1
-                if math.gcd(P, b) != 1 or not arith.is_prime(P):
-                    continue
-                if order_mod(b, P) % modulus == 0:
-                    return P
+                if math.gcd(P, b) == 1 and nt.is_prime(P):
+                    if nt.order(b, {P: 1}) % modulus == 0:
+                        return j
             return None
 
-        last = 400
-        for q, modulus in [(2, 2**10), (3, 3**7), (5, 5**5), (13, 13**3)]:
-            for b in range(2, 63):
+        # The moduli 2..7, whose answer may be 3, 5 or 7 itself, and powers
+        # of each q up to 13, so that modulus % 210 takes many classes of
+        # the wheel; 211, 419 and the answer's j, less one or not, end
+        # inside a turn of it.  1009 and 2026 = 2 * 1013 carry a prime above
+        # 997, which only the gcd with the base rules out.  Those answers
+        # all lie in the first turn; a base that is a q**t-th power needs
+        # q**t | j, which puts its answer in a later turn (j = 242..1372).
+        moduli = [(2, 2), (3, 3), (2, 4), (5, 5), (7, 7), (2, 2**10), (5, 5**5)] + [
+            (q, q**s) for q in (2, 3, 5, 7, 11, 13) for s in (2, 3, 4, 7)
+        ]
+        cases = [(q, m, b) for q, m in moduli for b in (*range(2, 63), 1009, 2026)]
+        cases += [(2, 2, 2**64), (3, 3, 10**243), (5, 5**3, 3**125),
+                  (7, 7**3, 2**343), (11, 11, 2**121), (13, 13, 2**169)]
+        for q, modulus, b in cases:
+            hit = first_hit(b, modulus, 1500)
+            lasts = {211, 419} | ({hit - 1, hit} if hit else set())
+            for last in sorted(lasts):
+                want = hit * modulus + 1 if hit and hit <= last else None
                 try:
                     got = _next_prime_in_progression(b, q, modulus, last, last)
                 except BoundedSearchError:
                     got = None
-                assert got == reference(b, modulus, last), (b, q, modulus)
+                assert got == want, (b, q, modulus, last)
         # every step of a progression is the reference scan's first hit
         for q, v in [(2, 1), (3, 1), (5, 1), (7, 2)]:
             for b in range(2, 63):
                 for modulus, P in prime_progression(b, q, v, 8).steps:
-                    assert reference(b, modulus, P // modulus) == P, (b, q, v)
+                    assert first_hit(b, modulus, P // modulus) == P // modulus, (b, q, v)
