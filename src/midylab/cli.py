@@ -21,7 +21,6 @@ from .order import _order_divisors, _profile, modulus_profile, order_mod
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_SEARCH = 3
 
 
@@ -202,7 +201,7 @@ def _cmd_primes(args, out) -> int:
 
 
 # Rows per scan chunk.  Each chunk is decided and rendered by one call of
-# _scan_text, in a forked worker when --jobs > 1, and written as soon as
+# _scan_rows, in a forked worker when --jobs > 1, and written as soon as
 # it is its turn.  Smaller chunks cost more frames; larger ones leave the
 # workers unbalanced on short ranges.
 SCAN_CHUNK_ROWS = 256
@@ -249,15 +248,16 @@ def _scan_row(b: int, n: int, factors: Factorization, fmt: str, orders: dict) ->
 _SCAN_ORDER_LIMIT = 1 << 16
 
 
-def _scan_rows(task):
-    """Decide the rows of n in [lo, hi) coprime to b, and yield the line
-    of each as fmt renders it.  A row drops its largest prime p from orders
-    when p divides no later row below end: the next would be m * p after
-    p, m the least integer above 1 coprime to b, and n + p or later after n."""
-    b, lo, hi, end, fmt, orders = task
+def _scan_rows(b: int, lo: int, end: int, fmt: str, orders: dict):
+    """Decide the rows of n coprime to b in the chunk from lo to
+    min(lo + SCAN_CHUNK_ROWS, end), and yield the line of each as fmt
+    renders it.  orders is the process's table of orders mod primes.  A
+    row drops its largest prime p from it when p divides no later row
+    below end: the next would be m * p after p, m the least integer above
+    1 coprime to b, and n + p or later after n."""
     m = next(m for m in range(2, b + 2) if math.gcd(m, b) == 1)
     # _scan_row is looked up at call time, so a rebinding sees every row.
-    for n, factors in arith._factor_lists(lo, hi, b):
+    for n, factors in arith._factor_lists(lo, min(lo + SCAN_CHUNK_ROWS, end), b):
         if len(orders) >= _SCAN_ORDER_LIMIT:
             orders.clear()
         yield _scan_row(b, n, Factorization(factors), fmt, orders)
@@ -267,20 +267,15 @@ def _scan_rows(task):
                 orders.pop(p, None)
 
 
-def _scan_text(task) -> str:
-    """The text of the rows of n in [lo, hi) coprime to b, rendered as fmt."""
-    return "".join(_scan_rows(task))
-
-
 # A scan worker sends each chunk as one frame on its own pipe: the
 # payload's length in decimal and a newline, then the chunk's rows in
 # ASCII.  The worker writes the rows of its chunk one by one after the
-# header, and the parent copies the payload on in blocks of at most
-# FRAME_BLOCK bytes as they arrive.  A worker that stops, by an error or
-# a signal, sends no more frames, and the parent renders each chunk that
-# did not come whole, writing only the bytes past those it copied.  An
-# error is then raised in process after every chunk before it, as
-# --jobs 1 does.
+# header, and the parent passes the payload on to out as text in blocks
+# of at most FRAME_BLOCK bytes as they arrive; ASCII decodes block by
+# block.  A worker that stops, by an error or a signal, sends no more
+# frames, and the parent renders each chunk that did not come whole,
+# writing only the text past the bytes it copied.  An error is then
+# raised in process after every chunk before it, as --jobs 1 does.
 FRAME_BLOCK = 1 << 16
 
 
@@ -308,33 +303,19 @@ def _copy_frame(pipe, write) -> tuple[bool, int]:
     return copied == size, copied
 
 
-def _chunks(b: int, starts: range, hi: int, fmt: str):
-    """The _scan_rows tasks of the chunks at starts, sharing one order table."""
-    orders = {}
-    return ((b, a, min(a + SCAN_CHUNK_ROWS, hi), hi, fmt, orders) for a in starts)
-
-
 def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) -> None:
     """Write the chunks' text to out in order, worker w rendering chunks
-    w, w + workers, ...  A worker blocks once its pipe is full, so the
-    text in memory stays bounded whatever the range or the reader: each
-    worker holds the rows of the chunk it is on, and the parent one
-    block of a frame."""
-    buffer = getattr(out, "buffer", None)
-    if buffer is None or "n\n".encode(out.encoding) != b"n\n":
-        # io.StringIO has no bytes layer, and UTF-16 does not write ASCII
-        # as is: these get text.  The payload is ASCII, so every block
-        # decodes on its own.
-        buffer = None
+    w, w + workers, ... with its own order table.  A worker blocks once
+    its pipe is full, so the text in memory stays bounded whatever the
+    range or the reader: each worker holds the rows of the chunk it is
+    on, and the parent one block of a frame."""
 
-        def write(block: bytes) -> None:
-            out.write(block.decode())
+    def write(block: bytes) -> None:
+        out.write(block.decode())
 
-    else:
-        # The text written so far (the CSV header) goes ahead of the
-        # frames, and out of the buffer each worker inherits.
-        out.flush()
-        write = buffer.write
+    # The text written so far (the CSV header) goes ahead of the frames,
+    # and out of the buffer each worker inherits.
+    out.flush()
     parent = os.getpid()
     pids = []
     readers = []
@@ -345,16 +326,16 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
             if pid == 0:
                 # The child never returns and prints nothing, whatever
                 # ends it: it must not run the parent's handlers, nor
-                # flush the stdout buffer it inherited, which may hold
-                # the CSV header.
+                # flush the stdout buffer it inherited.
                 try:
                     os.close(r)
                     for reader in readers:
                         reader.close()
+                    orders = {}
                     with open(fd, "wb") as pipe:
-                        for task in _chunks(b, starts[w::workers], hi, fmt):
+                        for lo in starts[w::workers]:
                             rows = []
-                            for row in _scan_rows(task):
+                            for row in _scan_rows(b, lo, hi, fmt, orders):
                                 # A worker whose parent died is adopted by
                                 # another process: it stops within a row,
                                 # not at its next frame.
@@ -367,16 +348,16 @@ def _forked_scan(b: int, starts: range, hi: int, fmt: str, workers: int, out) ->
             pids.append(pid)
             os.close(fd)
             readers.append(open(r, "rb"))
-        for i, task in enumerate(_chunks(b, starts, hi, fmt)):
+        orders = {}
+        for i, lo in enumerate(starts):
             whole, copied = _copy_frame(readers[i % workers], write)
             if not whole:
                 # The chunk is rendered whole before a byte of it is
                 # written, so a row that raises leaves out as --jobs 1 does.
-                write(_scan_text(task).encode()[copied:])
-            if buffer is not None:
-                # A terminal shows the chunk's last rows now, not once the
-                # next chunk's bytes push them out.
-                buffer.flush()
+                out.write("".join(_scan_rows(b, lo, hi, fmt, orders))[copied:])
+            # A terminal shows the chunk's last rows now, not once the
+            # next chunk's text pushes them out.
+            out.flush()
     finally:
         # A worker still rendering meets a closed pipe at its next frame.
         for reader in readers:
@@ -400,8 +381,9 @@ def _cmd_scan(args, out) -> int:
     if workers > 1 and hasattr(os, "fork"):
         _forked_scan(args.base, starts, hi, args.format, workers, out)
     else:
-        for text in map(_scan_text, _chunks(args.base, starts, hi, args.format)):
-            out.write(text)
+        orders = {}
+        for lo in starts:
+            out.write("".join(_scan_rows(args.base, lo, hi, args.format, orders)))
     return EXIT_OK
 
 

@@ -543,6 +543,9 @@ class TestScanStreaming:
             def write(self, text):
                 writes.append((log.stat().st_size, text))
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(cli, "_scan_row", logged_row)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         # 12 chunks: many more than two workers can hold at once.
@@ -621,8 +624,7 @@ class TestScanBudget:
     ):
         # n = 1001 is in the fourth chunk, 770..1025, which the second
         # worker renders; the three before it are written whole, and no
-        # row of the fourth, to a text stream as to a file, whose bytes
-        # layer the parent writes the frames to.
+        # row of the fourth, to a text stream as to a file.
         scan_row = cli._scan_row
 
         def failing_row(b, n, factors, fmt, orders):
@@ -713,10 +715,10 @@ class TestScanWorkerCrash:
         parent = os.getpid()
         scan_rows = cli._scan_rows
 
-        def killed_in_a_worker(task):
-            if os.getpid() != parent and task[1] >= 770:
+        def killed_in_a_worker(b, lo, *args):
+            if os.getpid() != parent and lo >= 770:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return scan_rows(task)
+            return scan_rows(b, lo, *args)
 
         monkeypatch.setattr(cli, "_scan_rows", killed_in_a_worker)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -794,22 +796,22 @@ def parent_renders(monkeypatch):
     rendered = []
     scan_rows = cli._scan_rows
 
-    def recording_rows(task):
+    def recording_rows(b, lo, *args):
         if os.getpid() == parent:
-            rendered.append(task[1])
-        return scan_rows(task)
+            rendered.append(lo)
+        return scan_rows(b, lo, *args)
 
     monkeypatch.setattr(cli, "_scan_rows", recording_rows)
     return rendered
 
 
 class TestScanFrames:
-    """Frames of a forked scan, copied to a stdout with a bytes layer."""
+    """Frames of a forked scan, passed on to a file's text layer."""
 
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
     def test_jobs_do_not_change_the_bytes(self, forks, monkeypatch, tmp_path, encoding):
-        # A UTF-16 stdout does not write the rows' ASCII as is, so the
-        # frames go through its text layer there.
+        # A UTF-16 stdout does not write the rows' ASCII as is: the
+        # frames reach it as text, as they reach every stdout.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["scan", "--base", "10", "--from", "2", "--to", "1000"]
         for jobs in ("1", "2"):
@@ -1022,7 +1024,13 @@ class TestScanRowJson:
         # nu_p(d) = 0 and > 0; every kind must occur.
         kinds = set()
         certificates = 0
-        for line in cli._scan_text((3, 1, 2001, 2001, "json", {})).splitlines():
+        orders = {}
+        text = "".join(
+            row
+            for lo in range(1, 2001, cli.SCAN_CHUNK_ROWS)
+            for row in cli._scan_rows(3, lo, 2001, "json", orders)
+        )
+        for line in text.splitlines():
             row = json.loads(line)
             n = row["n"]
             for item in row["excluded"]:
@@ -1054,7 +1062,7 @@ class TestScanRowJson:
         reference = reference_json_row if fmt == "json" else reference_csv_row
         for b in range(2, 63):
             want = "".join(reference(b, n) for n in range(1, 201) if math.gcd(b, n) == 1)
-            assert cli._scan_text((b, 1, 201, 201, fmt, {})) == want, b
+            assert "".join(cli._scan_rows(b, 1, 201, fmt, {})) == want, b
 
 
 class TestScanGolden:

@@ -285,16 +285,15 @@ class TestScanOrderTable:
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        # The order table of every scan task cli._chunks makes.
+        # The order table of every chunk cli._scan_rows renders.
         seen = []
-        chunks = cli._chunks
+        scan_rows = cli._scan_rows
 
-        def recording(*args):
-            for task in chunks(*args):
-                seen.append(task[-1])
-                yield task
+        def recording(b, lo, end, fmt, orders):
+            seen.append(orders)
+            return scan_rows(b, lo, end, fmt, orders)
 
-        monkeypatch.setattr(cli, "_chunks", recording)
+        monkeypatch.setattr(cli, "_scan_rows", recording)
         return seen
 
     @pytest.mark.parametrize("b,m", [(10, 3), (7, 2), (6, 5)])
