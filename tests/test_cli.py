@@ -14,6 +14,7 @@ import sys
 import time
 import tracemalloc
 
+import numtheory as nt
 import pytest
 
 from midylab import arith, cli, midy
@@ -1113,3 +1114,163 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(["order", "13"])
         assert info.value.code == 2
+
+
+def cli_json(*argv):
+    """The parsed lines main() prints for argv with --format json; the
+    command must exit 0."""
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0, argv
+    return [json.loads(line) for line in out.splitlines()]
+
+
+class TestSubcommandsAgree:
+    """One seeded n per base the CLI accepts, some at most 300 and some
+    above 10**6: scan's JSON row, order, midy-set, midy-check and expand
+    must tell the same story of it."""
+
+    def test_scan_row_agrees_with_the_other_subcommands(self):
+        rng = random.Random(2012)
+        sizes = []
+        checked = 0
+        for b in range(2, 63):
+            small = rng.random() < 0.5
+            n = b
+            while math.gcd(b, n) != 1:
+                n = rng.randrange(2, 301) if small else rng.randrange(10**6 + 1, 10**10)
+            sizes.append(small)
+            base, N = ("--base", str(b)), str(n)
+            [row] = cli_json("scan", *base, "--from", N, "--to", N)
+            assert (row["n"], row["base"]) == (n, b)
+            [order] = cli_json("order", *base, N)
+            assert row["order"] == order["order"]
+            [members] = cli_json("midy-set", *base, N)
+            assert row["midy_set"] == members["midy_set"]
+            excluded = {item["d"]: item["certificate"] for item in row["excluded"]}
+            # Every divisor d > 1 of the order is a member or excluded.
+            assert sorted(row["midy_set"] + list(excluded)) == nt.divisors(
+                nt.factor(row["order"])
+            )[1:]
+            x = 0
+            while math.gcd(x, n) != 1:
+                x = rng.randrange(1, n)
+            sample = rng.sample(row["midy_set"], min(10, len(row["midy_set"])))
+            sample += rng.sample(sorted(excluded), min(10, len(excluded)))
+            for d in sample:
+                holds = d not in excluded
+                verdicts = cli_json("midy-check", "--method", "all", *base, N, str(d))
+                assert [(v["method"], v["holds"]) for v in verdicts] == [
+                    ("ppl2", holds), ("ppl3", holds), ("direct", holds)
+                ], (b, n, d)
+                if not holds:
+                    assert verdicts[0]["certificate"] == excluded[d], (b, n, d)
+                if small:
+                    # One numerator decides every numerator (see
+                    # expansion.smallest_failing_x).
+                    [blocks] = cli_json("expand", *base, "--blocks", str(d), str(x), N)
+                    k = row["order"] // d
+                    assert (blocks["sum"] % (b**k - 1) == 0) == holds, (b, n, x, d)
+                checked += 1
+        assert sizes.count(True) > 20 and sizes.count(False) > 20
+        assert checked > 500
+
+
+# The fuzz's values for each kind of argument: in range, out of range and
+# malformed.  The values in range keep each command to milliseconds: no
+# expansion of a long period, no progression of many primes and no scan
+# of more than a few chunks.
+FUZZ_VALUES = {
+    "base": (["2", "3", "7", "10", "16", "62"], ["1", "63", "0", "-10"], ["ten", "10.0"]),
+    "n": (["2", "13", "75", "91", "300", "1000003", "999999999989", str(10**12 + 39)],
+          ["1", "0", "-7", str(2**521 - 1), str(10**200 + 1)], ["", "x", "1e3", "0x10"]),
+    "x": (["1", "2", "5", "12"], ["0", "-1", "300"], ["one", "1/2"]),
+    "period": (["7", "13", "21", "75", "91", "300", "3001"], ["1", "0", "-7"], ["", "n"]),
+    "d": (["2", "3", "4", "6", "12"], ["0", "1", "-2", "101", str(10**9)], ["two", "2.5"]),
+    "prime": (["3:1", "7:2", "11:1", "13:3", "37:1", "101:2"],
+              ["9:1", "1:1", "7:0", "-7:1", f"{2**521 - 1}:1", "3:5000"],
+              ["7", "7:x", ":", "a:b"]),
+    "q": (["2", "3", "5", "13"], ["4", "0", "-3", str(2**521 - 1)], ["q", "2.0"]),
+    "v": (["1", "2", "3"], ["0", "-1", "400"], ["v"]),
+    "count": (["1", "2", "3"], ["0", "-2", "101"], ["many"]),
+    "bound": (["1000", "100000"], ["1", "0", "-1"], ["b"]),
+    "start": (["1", "2", "1000000", str(10**12 + 1)], ["0", "-5", str(10**200 + 1)], ["x"]),
+    "span": (["0", "1", "255", "256", "700"], ["-1"], []),
+    "jobs": (["1", "2"], ["0", "-1"], ["j"]),
+    "format": (["json", "human"], [], ["xml"]),
+    "method": (["ppl2", "ppl3", "direct", "all"], [], ["none"]),
+    "route": (["formula", "gcd", "both"], [], ["neither"]),
+}
+FUZZ_COMMANDS = {
+    "order": [("--base", "base"), (None, "n")],
+    "midy-set": [("--base", "base"), (None, "n")],
+    "expand": [("--base", "base"), (None, "x"), (None, "period"), ("--blocks", "d")],
+    "midy-check": [("--base", "base"), (None, "n"), (None, "d"), ("--method", "method")],
+    "jenkins": [("--base", "base"), ("--d", "d"), ("--route", "route"),
+                ("--prime", "prime"), ("--prime", "prime")],
+    "primes": [("--base", "base"), ("--q", "q"), ("--v", "v"), ("--count", "count"),
+               ("--bound", "bound")],
+    "scan": [("--base", "base"), ("--from", "start"), ("--to", "span"),
+             ("--jobs", "jobs")],
+}
+
+FUZZ_OPTIONAL = {"--blocks", "--method", "--route", "--bound", "--jobs", "--format"}
+
+
+def fuzz_argv(rng):
+    """One seeded argument vector: a subcommand with values in range, and
+    in half of the vectors one value out of range or malformed.  Each
+    optional argument is left out in half of the vectors."""
+    command = rng.choice(list(FUZZ_COMMANDS))
+    args = FUZZ_COMMANDS[command] + [("--format", "format")]
+    spoilt = rng.randrange(2 * len(args))
+    argv = [command]
+    for i, (flag, kind) in enumerate(args):
+        if flag in FUZZ_OPTIONAL and rng.random() < 0.5:
+            continue
+        pools = FUZZ_VALUES[kind]
+        pool = pools[0] if i != spoilt else pools[1] + pools[2] or pools[0]
+        value = rng.choice(pool)
+        if kind == "span":
+            # scan --to: the start plus this span, or the span itself
+            # after a malformed start.
+            start = argv[-1]
+            value = str(int(start) + int(value)) if start.lstrip("-").isdigit() else value
+        argv += [value] if flag is None else [flag, value]
+    return argv
+
+
+class TestCliFuzz:
+    """Seeded argument vectors over every subcommand, valid, out of range
+    and malformed, run in process: each is a usage error (exit 2), an
+    answer (0) or one error line (1 or 3), never a traceback or a hang."""
+
+    def test_every_vector_ends_with_a_documented_exit(self, capsys):
+        def timed_out(signum, frame):
+            raise TimeoutError("a vector ran over 5 s")
+
+        rng = random.Random(2012)
+        codes = {}
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        try:
+            for _ in range(1200):
+                argv = fuzz_argv(rng)
+                signal.alarm(5)
+                try:
+                    code, _ = run_cli(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code == 2, argv
+                finally:
+                    signal.alarm(0)
+                err = capsys.readouterr().err
+                assert "Traceback" not in err, argv
+                assert code in (0, 1, 2, 3), argv
+                if code in (1, 3):
+                    assert err.count("\n") == 1 and err.startswith("error: "), argv
+                elif code == 0:
+                    assert err == "", argv
+                codes[code] = codes.get(code, 0) + 1
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        # Every kind of ending occurs.
+        assert sorted(codes) == [0, 1, 2, 3], codes

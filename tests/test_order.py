@@ -5,6 +5,7 @@ import io
 import math
 import sys
 
+import numtheory as nt
 import pytest
 
 from midylab import arith, cli, order
@@ -20,7 +21,6 @@ from midylab.order import (
     lift_valuation,
     modulus_profile,
     order_mod,
-    order_mod_naive,
 )
 from midylab.progression import (
     prime_power_midy_structure,
@@ -165,13 +165,15 @@ class TestModulusProfile:
         )
 
     def test_against_naive_orders(self):
+        # The order of N comes from perfbench's textbook reference, its
+        # prime powers' from successive powers.
         for n in range(1, 400):
             for b in (2, 3, 10, 61):
                 if math.gcd(b, n) != 1:
                     continue
                 prof = modulus_profile(b, n)
                 assert prof.factors == arith.factor(n)
-                assert prof.order == order_mod_naive(b, n)
+                assert prof.order == nt.order(b, nt.factor(n))
                 assert [(p, t) for p, t, _, _ in prof.per_prime] == list(prof.factors)
                 for p, t, opt, op in prof.per_prime:
                     assert opt == naive_order(b, p**t)
@@ -325,9 +327,11 @@ class TestScanOrderTable:
 
 class TestNaiveFallback:
     def test_agrees_with_fast_path(self):
+        # The reference is perfbench's textbook order, which shares no
+        # code with midylab.
         for n in range(2, 200):
             if math.gcd(10, n) == 1:
-                assert order_mod_naive(10, n) == order_mod(10, n)
+                assert nt.order(10, nt.factor(n)) == order_mod(10, n)
 
 
 class TestOneFactorization:

@@ -8,7 +8,7 @@ import pytest
 from midylab import arith, progression
 from midylab.errors import BoundedSearchError, PreconditionError
 from midylab.midy import midy_check_direct, midy_check_ppl2
-from midylab.order import order_mod, order_mod_naive
+from midylab.order import order_mod
 from midylab.progression import (
     _next_prime_in_progression,
     _pocklington_step,
@@ -364,7 +364,7 @@ class TestPocklingtonStep:
             for b in (2, 3, 10, 56):
                 if b % P == 0:
                     continue
-                order = order_mod_naive(b, P)
+                order = nt.order(b, nt.factor(P))
                 for q in (2, 3, 5):
                     F = _q_part(q, P - 1)
                     modulus = q
