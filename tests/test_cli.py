@@ -1228,7 +1228,7 @@ def fuzz_argv(rng):
         if flag in FUZZ_OPTIONAL and rng.random() < 0.5:
             continue
         pools = FUZZ_VALUES[kind]
-        pool = pools[0] if i != spoilt else pools[1] + pools[2] or pools[0]
+        pool = pools[0] if i != spoilt else pools[1] + pools[2]
         value = rng.choice(pool)
         if kind == "span":
             # scan --to: the start plus this span, or the span itself
