@@ -94,17 +94,22 @@ def period_digits(x: int, N: int, b: int) -> PeriodExpansion:
 
 
 def blocks_and_sum(e: PeriodExpansion, d: int) -> BlockDecomposition:
-    """Split a period into d equal blocks and sum their base-b values."""
+    """Split a period into d equal blocks and sum their base-b values.
+
+    The blocks come from the record's numerator and modulus, in linear
+    time: the k digits after a long-division remainder r of x/N are
+    r * b**k // N, and r * b**k % N is the remainder k digits on (the
+    identity of smallest_failing_x), so each block is one divmod.
+    """
     if d < 1 or len(e.digits) % d != 0:
         raise PreconditionError(
             f"block count {d} does not divide period length {len(e.digits)}"
         )
     k = len(e.digits) // d
+    B, r = e.base**k, e.numerator
     blocks = []
-    for j in range(d):
-        value = 0
-        for digit in e.digits[j * k : (j + 1) * k]:
-            value = value * e.base + digit
+    for _ in range(d):
+        value, r = divmod(r * B, e.modulus)
         blocks.append(value)
     return BlockDecomposition(
         count=d, length=k, blocks=tuple(blocks), block_sum=sum(blocks)

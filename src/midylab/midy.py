@@ -13,8 +13,8 @@ and the orders of b at every prime and prime power of N are computed
 once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
 The divisors of L come from order._order_divisors and its exponents from
-order._order_exponents, so L is never factored either, and a decider of
-one d builds no divisor list.  _ppl2_verdicts, the one decider behind
+the profile's order_exponents, so L is never factored either, and a
+decider of one d builds no divisor list.  _ppl2_verdicts, the one decider behind
 midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
 each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
 into a PrimeCertificate, and the scan's JSON rows render the same fields
@@ -43,7 +43,6 @@ from .order import (
     ModulusProfile,
     _check_block_count,
     _order_divisors,
-    _order_exponents,
     modulus_profile,
 )
 
@@ -207,7 +206,7 @@ def midy_check_ppl3(
 def _ppl3(profile: ModulusProfile, d: int) -> MidyVerdict:
     L = profile.order
     _check_block_count(d, L)
-    exponents = _order_exponents(profile)
+    exponents = profile.order_exponents
     for p, nu_n, _, ord_p in profile.per_prime:
         nu_d = arith.valuation(p, d)
         if p == 2:
@@ -262,9 +261,8 @@ def guel_triple(b: int, N: int, d: int) -> tuple[bool, bool, bool]:
             )
     stmt_gcd = arith.gcd_pow_minus_one(b, k, N) == 1
     [culprit] = _ppl2_verdicts(profile, [d])
-    exponents = _order_exponents(profile)
     stmt_exists = all(
-        _order_escapes(ord_p, d, exponents)
+        _order_escapes(ord_p, d, profile.order_exponents)
         for _, _, _, ord_p in profile.per_prime
     )
     return stmt_gcd, culprit is None, stmt_exists

@@ -10,7 +10,7 @@ modulus_profile gathers everything the deciders read about one modulus
 (its factorization, the order, and the orders at each prime and prime
 power) in a single pass, so that deciding many block counts for the same
 N computes none of it twice.  The order mod p comes out of stripping
-primes off p - 1, which leaves its factorization too, _order_exponents
+primes off p - 1, which leaves its factorization too, the same walk
 merges those into the order's factorization, and _order_divisors expands
 that into the order's divisors, so the order itself is never factored.
 order_mod is the order field of that profile, so there is one route to a
@@ -50,12 +50,11 @@ class ModulusProfile(NamedTuple):
     """Order data of base modulo modulus, computed once per modulus.
 
     per_prime lists (p, t, order mod p**t, order mod p) for each p**t in
-    factors, in ascending order of p; order is their lcm.  order_factors
-    holds, for each per_prime entry, the factorization of the order mod p
-    as (q1, e1, q2, e2, ...), q ascending (() at p = 2).  Like
-    every record of the package it is a named tuple (Factorization is a
-    tuple of its pairs): every decider and scan row builds one, and named
-    tuples are cheap to build and to import.
+    factors, in ascending order of p; order is their lcm, and
+    order_exponents its factorization {q: nu_q(order)}.  Like every record
+    of the package it is a named tuple: every decider and scan row builds
+    one, and named tuples are cheap to build and to import.  It does not
+    hash, as order_exponents is a dict.
     """
 
     base: int
@@ -63,7 +62,7 @@ class ModulusProfile(NamedTuple):
     factors: arith.Factorization
     order: int
     per_prime: tuple[tuple[int, int, int, int], ...]
-    order_factors: tuple[tuple[int, ...], ...]
+    order_exponents: dict[int, int]
 
 
 def _order_mod_prime(b: int, p: int) -> tuple[int, ...]:
@@ -129,45 +128,34 @@ def _profile(
 
     orders maps odd primes p to _order_mod_prime(b % p, p) for this b; the
     entries it lacks are computed and added.  Odd p lifts the order mod p
-    to p**t; p = 2 is routed to the direct doubling scan.
+    to p**t; p = 2 is routed to the direct doubling scan.  The same walk
+    merges the order's exponents: the lcm takes each prime's largest.
     """
     per_prime = []
-    order_factors = []
+    exponents: dict[int, int] = {}
     order = 1
     for p, t in factors:
         if p == 2:
             op, opt = 1, _order_mod_two_power(b, t)
-            order_factors.append(())
+            if opt > 1:
+                exponents[2] = opt.bit_length() - 1
         else:
             flat = orders.get(p)
             if flat is None:
                 flat = orders[p] = _order_mod_prime(b % p, p)
             op = opt = flat[0]
-            order_factors.append(flat[1:])
+            for i in range(1, len(flat), 2):
+                q = flat[i]
+                if flat[i + 1] > exponents.get(q, 0):
+                    exponents[q] = flat[i + 1]
             if t > 1 and pow(b, opt, p**t) != 1:
-                # t > m, so the order mod p**t picks up p**(t - m).
-                opt *= p ** (t - _lift_exponent(b, p, opt))
+                # t > m, so the order mod p**t picks up p**(t - m); the
+                # orders mod smaller primes lie below p, so p is new here.
+                exponents[p] = t - _lift_exponent(b, p, opt)
+                opt *= p ** exponents[p]
         per_prime.append((p, t, opt, op))
         order = math.lcm(order, opt)
-    return ModulusProfile(b, N, factors, order, tuple(per_prime), tuple(order_factors))
-
-
-def _order_exponents(profile: ModulusProfile) -> dict[int, int]:
-    """{q: e} with the profile's order equal to the product of the q**e.
-
-    The order mod p comes factored in order_factors, p enters the order
-    mod p**t only by lifting, since the order mod p divides p - 1 (at
-    p = 2 it is 1), and the lcm takes each prime's largest exponent."""
-    exponents: dict[int, int] = {}
-    for (p, _, opt, op), flat in zip(profile.per_prime, profile.order_factors):
-        for i in range(0, len(flat), 2):
-            q = flat[i]
-            if flat[i + 1] > exponents.get(q, 0):
-                exponents[q] = flat[i + 1]
-        if opt != op:
-            # p is new here: the orders at smaller primes lie below p.
-            exponents[p] = arith.valuation(p, opt)
-    return exponents
+    return ModulusProfile(b, N, factors, order, tuple(per_prime), exponents)
 
 
 # Most divisors _order_divisors lists: more than any order below 10**18
@@ -179,10 +167,10 @@ DIVISOR_COUNT_LIMIT = 2**18
 def _order_divisors(profile: ModulusProfile) -> list[int]:
     """The divisors d > 1 of the profile's order, ascending.
 
-    Expanded from _order_exponents, so the order is never factored.  An
-    order with more than DIVISOR_COUNT_LIMIT divisors raises
+    Expanded from the profile's order_exponents, so the order is never
+    factored.  An order with more than DIVISOR_COUNT_LIMIT divisors raises
     BoundedSearchError before the list is built."""
-    exponents = _order_exponents(profile)
+    exponents = profile.order_exponents
     # No order has more divisors than its value, so a scan row below the
     # limit skips the count.
     if profile.order > DIVISOR_COUNT_LIMIT:
@@ -204,7 +192,8 @@ def _order_divisors(profile: ModulusProfile) -> list[int]:
             block = [d * q for d in block]
             divisors += block
     divisors.sort()
-    return divisors[1:]
+    del divisors[0]
+    return divisors
 
 
 def modulus_profile(

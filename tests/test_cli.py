@@ -127,6 +127,21 @@ class TestExpandCommand:
         assert "Traceback" not in proc.stderr
         assert elapsed < 1
 
+    def test_long_period_blocks_end_at_the_text_limit(self):
+        # Two blocks of 499991 digits of the 999982-digit period of
+        # 1/999983: each is one divmod of a remainder, so the run reaches
+        # the text limit at once rather than after building them digit by
+        # digit.
+        proc, elapsed = run_cli_process(
+            ["expand", "--base", "10", "1", "999983", "--blocks", "2"]
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 2
+
     @pytest.mark.parametrize("fmt", ["human", "json"])
     def test_block_sum_past_the_text_limit(self, fmt):
         # One block of the 9966-digit period of 1/9967 in base 10: its sum

@@ -144,6 +144,14 @@ class TestPeriodDigits:
         assert len(period_digits(1, 29, 10).digits) == 28
 
 
+def digits_value(digits, b: int) -> int:
+    """The value of digits in base b, most significant first."""
+    value = 0
+    for digit in digits:
+        value = value * b + digit
+    return value
+
+
 class TestBlocksAndSum:
     def test_known_blocks(self):
         e = period_digits(1, 13, 10)
@@ -180,6 +188,26 @@ class TestBlocksAndSum:
             assert s.count * s.length == 20
             assert len(s.blocks) == d
             assert all(blk < 8**s.length for blk in s.blocks)
+
+    def test_blocks_match_the_digits(self):
+        # The blocks come from the long-division remainders; each must be
+        # the base-b value of its k digits of the period.
+        for b in range(2, 63):
+            for n in range(2, 120):
+                if math.gcd(b, n) != 1:
+                    continue
+                for x in {1, n - 1}:
+                    e = period_digits(x, n, b)
+                    L = len(e.digits)
+                    for d in (d for d in range(1, L + 1) if L % d == 0):
+                        k = L // d
+                        want = tuple(
+                            digits_value(e.digits[j * k : (j + 1) * k], b)
+                            for j in range(d)
+                        )
+                        s = blocks_and_sum(e, d)
+                        assert (s.count, s.length, s.blocks) == (d, k, want), (b, n, x, d)
+                        assert s.block_sum == sum(want)
 
 
 class TestMidyDirect:

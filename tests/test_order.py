@@ -15,7 +15,6 @@ from midylab.midy import guel_triple, midy_check_ppl2, midy_check_ppl3, midy_set
 from midylab.order import (
     ModulusProfile,
     _order_divisors,
-    _order_exponents,
     _order_mod_prime,
     _profile,
     lift_valuation,
@@ -161,7 +160,7 @@ class TestModulusProfile:
             factors=arith.factor(75),
             order=20,
             per_prime=((3, 1, 2, 2), (5, 2, 20, 4)),
-            order_factors=((2, 1), (2, 2)),
+            order_exponents={2: 2, 5: 1},
         )
 
     def test_against_naive_orders(self):
@@ -463,13 +462,16 @@ class TestOrderFactorization:
     """The order's divisors are read off the orders mod p."""
 
     def test_matches_factoring_the_order(self):
+        # The exponents the profile merges as it walks the primes of n are
+        # the order's factorization by the textbook reference.
         for b in range(2, 63):
             for n in range(1, 2000):
                 if math.gcd(b, n) == 1:
                     prof = modulus_profile(b, n)
                     want = divisors_above_one(prof.order)
                     assert _order_divisors(prof) == want, (b, n)
-                    exponents = _order_exponents(prof)
+                    exponents = prof.order_exponents
+                    assert exponents == nt.order_factors(b, nt.factor(n)), (b, n)
                     assert math.prod(q**e for q, e in exponents.items()) == prof.order
                     assert sorted(exponents) == list(arith.factor(prof.order).primes())
 
@@ -491,7 +493,8 @@ class TestOrderFactorization:
                 L = prof.order
                 divisors = _order_divisors(prof)
                 assert divisors == divisors_above_one(L)
-                exponents = _order_exponents(prof)
+                exponents = prof.order_exponents
+                assert exponents == nt.order_factors(b, {p: 1, q: 1})
                 assert math.prod(r**e for r, e in exponents.items()) == L
                 assert sorted(exponents) == list(arith.factor(L).primes())
                 # L is the order: b**L is 1 and no L / r is, r a prime of L.
