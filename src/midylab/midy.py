@@ -14,9 +14,9 @@ once, and each block count d is then decided with no modular power at
 all, since b**k == 1 (mod p) exactly when |b| mod p divides k = L/d.
 The divisors of L come from order._order_divisors and its exponents from
 the profile's order_exponents, so L is never factored either, and a
-decider of one d builds no divisor list.  _ppl2_verdicts, the one decider behind
-midy_set, midy_check_ppl2, guel_triple and both CLI scan formats, gives
-each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
+decider of one d builds no divisor list.  _ppl2_verdicts, the one decider
+behind midy_set, midy_check_ppl2, guel_triple and both CLI scan formats,
+gives each divisor's culprit prime or None; midy_check_ppl2 turns a culprit
 into a PrimeCertificate, and the scan's JSON rows render the same fields
 without one.  The cross-check reads the same profile and the exponents of L
 but decides the odd primes by its own rule.  A supplied n_factors is

@@ -129,9 +129,8 @@ class TestExpandCommand:
 
     def test_long_period_blocks_end_at_the_text_limit(self):
         # Two blocks of 499991 digits of the 999982-digit period of
-        # 1/999983: each is one divmod of a remainder, so the run reaches
-        # the text limit at once rather than after building them digit by
-        # digit.
+        # 1/999983: each is one divmod of a long-division remainder, so
+        # the run meets the text limit in linear time.
         proc, elapsed = run_cli_process(
             ["expand", "--base", "10", "1", "999983", "--blocks", "2"]
         )

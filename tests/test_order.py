@@ -463,7 +463,7 @@ class TestOrderFactorization:
 
     def test_matches_factoring_the_order(self):
         # The exponents the profile merges as it walks the primes of n are
-        # the order's factorization by the textbook reference.
+        # the factorization of the textbook reference's order.
         for b in range(2, 63):
             for n in range(1, 2000):
                 if math.gcd(b, n) == 1:
@@ -471,7 +471,7 @@ class TestOrderFactorization:
                     want = divisors_above_one(prof.order)
                     assert _order_divisors(prof) == want, (b, n)
                     exponents = prof.order_exponents
-                    assert exponents == nt.order_factors(b, nt.factor(n)), (b, n)
+                    assert exponents == nt.factor(nt.order(b, nt.factor(n))), (b, n)
                     assert math.prod(q**e for q, e in exponents.items()) == prof.order
                     assert sorted(exponents) == list(arith.factor(prof.order).primes())
 
@@ -494,7 +494,7 @@ class TestOrderFactorization:
                 divisors = _order_divisors(prof)
                 assert divisors == divisors_above_one(L)
                 exponents = prof.order_exponents
-                assert exponents == nt.order_factors(b, {p: 1, q: 1})
+                assert exponents == nt.factor(nt.order(b, {p: 1, q: 1}))
                 assert math.prod(r**e for r, e in exponents.items()) == L
                 assert sorted(exponents) == list(arith.factor(L).primes())
                 # L is the order: b**L is 1 and no L / r is, r a prime of L.
